@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 # ── reserved token ids ──────────────────────────────────────────────────────
 
 BOS_ID = 0
@@ -209,7 +211,7 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
     return " ".join(vocab.token(i) for i in seq.ids if i not in _STRUCTURAL_IDS)
 
 
-# ── numeric helper ──────────────────────────────────────────────────────────
+# ── numeric helpers ─────────────────────────────────────────────────────────
 
 
 def log_normalize(log_weights: Sequence[float]) -> list[float]:
@@ -226,6 +228,26 @@ def log_normalize(log_weights: Sequence[float]) -> list[float]:
     shifted = [math.exp(w - m) for w in log_weights]
     total = sum(shifted)
     return [s / total for s in shifted]
+
+
+def log_softmax(scores: np.ndarray) -> np.ndarray:
+    """Log-normalize a row, or each row of a block, over the last axis.
+
+    Each row's log partition sum is taken with ``math.log`` on the scalar:
+    ``np.log`` can differ from it in the last ulp, and a row must get the
+    same bits whether it is normalized alone or inside a block. The result
+    is read-only. Raises :class:`DegenerateDistributionError` when a row has
+    no finite mass.
+    """
+    m = scores.max(axis=-1, keepdims=True)
+    tops = m.ravel().tolist()
+    if -math.inf in tops:
+        raise DegenerateDistributionError("degenerate distribution: no finite mass")
+    sums = np.exp(scores - m).sum(axis=-1).ravel().tolist()
+    log_z = [top + math.log(s) for top, s in zip(tops, sums)]
+    out = scores - np.array(log_z).reshape(m.shape)
+    out.setflags(write=False)
+    return out
 
 
 # ── attribute schemas ───────────────────────────────────────────────────────

@@ -203,38 +203,36 @@ def ablation_matrix(
 ) -> dict[str, dict[str, float]]:
     """Coverage grid: one base row, then one row per masked attribute.
 
-    Every row decodes every record. A masking row pairs each input with a
-    single distractor that drops the masked attribute; records that never
-    assign it have no distractor and fall back to plain beam decoding, so
-    row-to-row differences isolate the masked attribute's effect.
+    Every row covers every record. A masking row pairs each input with a
+    single distractor that drops the masked attribute; a record that never
+    assigns it has no distractor, and its masked decode would be the plain
+    beam decode, so it reuses the base row's output. Row-to-row differences
+    therefore isolate the masked attribute's effect.
     """
     cols = list(measured) if measured is not None else measured_attributes(schema)
     matcher = CoverageMatcher(schema)
     base_config = replace(config, mode=MODE_BASE)
     masked_config = replace(config, mode=MODE_DISTRACTOR)
 
-    def decode_row(attribute: str | None) -> list[str]:
-        texts = []
-        for rec in records:
-            if attribute is None:
-                cand = generate(speaker, rec.mr, base_config)
-            else:
-                policy = DistractorPolicy(POLICY_MASK_SINGLE, attribute=attribute)
-                distractors = policy.distractors(rec.mr)
-                cand = generate(
-                    speaker, rec.mr, masked_config, distractors=distractors
-                )
-            texts.append(detokenize(cand.output, vocab))
-        return texts
+    def row(texts: list[str]) -> dict[str, float]:
+        return {c: coverage_ratio(records, texts, c, matcher) for c in cols}
 
-    matrix: dict[str, dict[str, float]] = {}
-    base_texts = decode_row(None)
-    matrix["BASE"] = {c: coverage_ratio(records, base_texts, c, matcher) for c in cols}
+    base_texts = [
+        detokenize(generate(speaker, rec.mr, base_config).output, vocab)
+        for rec in records
+    ]
+    matrix: dict[str, dict[str, float]] = {"BASE": row(base_texts)}
     for attribute in cols:
-        texts = decode_row(attribute)
-        matrix[attribute] = {
-            c: coverage_ratio(records, texts, c, matcher) for c in cols
-        }
+        policy = DistractorPolicy(POLICY_MASK_SINGLE, attribute=attribute)
+        texts = []
+        for rec, base_text in zip(records, base_texts):
+            distractors = policy.distractors(rec.mr)
+            if not distractors:
+                texts.append(base_text)
+                continue
+            cand = generate(speaker, rec.mr, masked_config, distractors=distractors)
+            texts.append(detokenize(cand.output, vocab))
+        matrix[attribute] = row(texts)
     return matrix
 
 

@@ -31,6 +31,7 @@ from .core import (
     TokenSequence,
     Vocabulary,
     linearize_mr,
+    log_softmax,
     schema_from_dict,
     schema_to_dict,
 )
@@ -131,11 +132,7 @@ class AttributeClassifierListener(ListenerModel):
         scores = prior.copy()
         for t in _bag_ids(output):
             scores += tok[:, t]
-        m = scores.max()
-        log_z = m + math.log(np.exp(scores - m).sum())
-        out = scores - log_z
-        out.setflags(write=False)
-        return out
+        return log_softmax(scores)
 
     # ── listener contract ───────────────────────────────────────────────
 

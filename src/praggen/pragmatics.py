@@ -17,6 +17,19 @@ lexicographic token ids. Step scores are renormalized in log space before
 accumulation so that the degenerate settings (``alpha = 0``,
 ``lambda = 0``, or a distractor identical to the input) reproduce the base
 ranking bit for bit.
+
+The engine advances the whole beam per step. Its K live hypotheses are
+scored as one (K, L, V) block of speaker rows, one per hypothesis, input
+and token (L = 1 outside distractor mode), and one function turns that
+block into pragmatic step scores and updated beliefs; the public
+``distractor_step_scores`` and ``belief_update`` call the same function.
+One stable lexsort over the block's finite entries then picks the
+``beam_size`` best expansions, which merge with the finished hypotheses.
+Within one decode, a memo fetches each speaker row once per (context,
+window) key, where the window is the last ``prefix_window`` prefix ids the
+speaker declares its rows depend on (the whole prefix when it is shorter
+than that or the speaker declares none; see ``speaker.prefix_key``), and
+keeps the log-softmaxed row of the true input beside it.
 """
 
 from __future__ import annotations
@@ -27,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DegenerateDistributionError, TokenSequence
-from .speaker import SpeakerModel
+from .core import TokenSequence, log_softmax
+from .speaker import SpeakerModel, prefix_key
 
 MODE_BASE = "base"
 MODE_RECONSTRUCTOR = "reconstructor"
@@ -127,27 +140,56 @@ class BeliefState:
         return cls(tuple(support), tuple([-math.log(n)] * n))
 
 
-# ── numeric helpers ─────────────────────────────────────────────────────────
+# ── step scoring ────────────────────────────────────────────────────────────
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    m = scores.max()
-    if m == -math.inf:
-        raise DegenerateDistributionError("degenerate distribution: no finite mass")
-    out = scores - (m + math.log(np.exp(scores - m).sum()))
-    out.setflags(write=False)
-    return out
+def _pragmatic_block(
+    rows: np.ndarray, beliefs: np.ndarray, alpha: float, true_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score one decoding step of K hypotheses against L inputs at once.
 
-
-def _logsumexp_rows(stacked: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over axis 0, mapping all -inf columns to -inf."""
-    m = stacked.max(axis=0)
-    out = np.full(stacked.shape[-1], -math.inf)
+    ``rows[k, j]`` is the speaker's step row for hypothesis ``k`` under
+    input ``j``, and ``beliefs[k, j]`` the hypothesis's log-belief in that
+    input; ``true_index`` marks the true input. Returns ``(steps,
+    posterior)``: the (K, V) pragmatic step log-probabilities, and the
+    (K, L, V) log-beliefs each hypothesis would hold after emitting each
+    token, -inf where every input rules the token out.
+    """
+    extended = rows + beliefs[:, :, None]
+    m = extended.max(axis=1)
     finite = m > -math.inf
-    if finite.any():
-        shifted = stacked[:, finite] - m[finite]
-        out[finite] = m[finite] + np.log(np.exp(shifted).sum(axis=0))
-    return out
+    shift = np.where(finite, m, 0.0)
+    # Each token's mass is summed over the inputs as one contiguous run, so
+    # numpy adds it pairwise, as it did when hypotheses were scored one at
+    # a time; summing across the block's rows would add in another order.
+    mass = np.exp(extended - shift[:, None, :]).transpose(0, 2, 1).copy()
+    sums = mass.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = shift + np.log(sums)
+        posterior = np.where(
+            finite[:, None, :], extended - denom[:, None, :], -math.inf
+        )
+    true_rows = rows[:, true_index]
+    if alpha == 0.0:
+        # Short-circuit keeps the reduction identity exact and avoids
+        # 0 * -inf where a token is impossible under every input.
+        return log_softmax(true_rows), posterior
+    return log_softmax(alpha * posterior[:, true_index] + true_rows), posterior
+
+
+def _support_rows(
+    speaker: SpeakerModel, belief: BeliefState, prefix: TokenSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-hypothesis (1, L, V) step block and (1, L) beliefs."""
+    if prefix.terminated:
+        raise ValueError("prefix is terminated; no further tokens can be scored")
+    rows = np.stack(
+        [
+            speaker.step_logprobs_ctx(speaker.context_ids(s), prefix.ids)
+            for s in belief.support
+        ]
+    )
+    return rows[None], np.array([belief.log_beliefs])
 
 
 # ── belief machinery ────────────────────────────────────────────────────────
@@ -163,22 +205,14 @@ def belief_update(
     folding updates along a prefix reproduces the direct product of step
     likelihoods with the initial belief.
     """
-    if prefix.terminated:
-        raise ValueError("prefix is terminated; no further tokens can be scored")
-    joint = np.array(
-        [
-            float(speaker.step_logprobs_ctx(speaker.context_ids(s), prefix.ids)[token])
-            + b
-            for s, b in zip(belief.support, belief.log_beliefs)
-        ]
-    )
-    m = joint.max()
-    if m == -math.inf:
+    rows, beliefs = _support_rows(speaker, belief, prefix)
+    _, posterior = _pragmatic_block(rows, beliefs, 0.0)
+    updated = posterior[0, :, token]
+    if updated.max() == -math.inf:
         raise BeliefCollapseError(
             "belief collapse: every candidate input rules out the token"
         )
-    log_z = m + math.log(np.exp(joint - m).sum())
-    return BeliefState(belief.support, tuple(float(x) for x in joint - log_z))
+    return BeliefState(belief.support, tuple(updated.tolist()))
 
 
 def distractor_step_scores(
@@ -198,24 +232,9 @@ def distractor_step_scores(
         raise ValueError("alpha must be non-negative")
     if not 0 <= input_index < len(belief.support):
         raise ValueError("input_index is outside the belief support")
-    if prefix.terminated:
-        raise ValueError("prefix is terminated; no further tokens can be scored")
-    stacked = np.stack(
-        [
-            speaker.step_logprobs_ctx(speaker.context_ids(s), prefix.ids)
-            for s in belief.support
-        ]
-    )
-    if alpha == 0.0:
-        # Short-circuit keeps the reduction identity exact and avoids
-        # 0 * -inf where a token is impossible under every input.
-        return _log_softmax(stacked[input_index])
-    extended = stacked + np.array(belief.log_beliefs)[:, None]
-    denom = _logsumexp_rows(extended)
-    with np.errstate(invalid="ignore"):
-        listener_term = extended[input_index] - denom
-    listener_term[denom == -math.inf] = -math.inf
-    return _log_softmax(alpha * listener_term + stacked[input_index])
+    rows, beliefs = _support_rows(speaker, belief, prefix)
+    steps, _ = _pragmatic_block(rows, beliefs, alpha, input_index)
+    return steps[0]
 
 
 # ── beam engine ─────────────────────────────────────────────────────────────
@@ -234,6 +253,40 @@ class _Hypothesis:
         self.sort_key = (-self.score, -self.base, self.ids)
 
 
+class _RowMemo:
+    """The speaker step rows of one decode, each fetched once.
+
+    A row is keyed by (context index, ``prefix_key`` of the prefix under
+    the speaker's ``prefix_window``). One entry holds the rows of every
+    context for a key, since each hypothesis needs all of them, together
+    with the log-softmaxed row of the true input.
+    """
+
+    def __init__(self, speaker: SpeakerModel, contexts: list[tuple[int, ...]]) -> None:
+        self.speaker = speaker
+        self.contexts = contexts
+        self.window = speaker.prefix_window
+        self.entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def block(
+        self, prefixes: list[tuple[int, ...]]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The K (L, V) row stacks and K normalized true-input rows."""
+        rows, base = [], []
+        for ids in prefixes:
+            key = prefix_key(ids, self.window)
+            entry = self.entries.get(key)
+            if entry is None:
+                stacked = np.array(
+                    [self.speaker.step_logprobs_ctx(c, ids) for c in self.contexts]
+                )
+                entry = (stacked, log_softmax(stacked[0]))
+                self.entries[key] = entry
+            rows.append(entry[0])
+            base.append(entry[1])
+        return rows, base
+
+
 def _beam_decode(
     speaker: SpeakerModel,
     input: object,
@@ -242,73 +295,75 @@ def _beam_decode(
 ) -> list[_Hypothesis]:
     """Shared beam loop for base and distractor decoding.
 
+    The live hypotheses are kept in lexicographic order of their ids. Each
+    step gathers their scores, base scores and beliefs into arrays, scores
+    all of them at once as one (K, L, V) block and selects the
+    ``beam_size`` best finite expansions with one stable lexsort on
+    (score, base score); the block's row-major order breaks the remaining
+    ties by ids, because live hypotheses share one length. These are
+    exactly the expansions a per-hypothesis top ``beam_size`` would pool:
+    a candidate among the global best is among its parent's best.
+
     Finished hypotheses stay in the beam and compete on their frozen
     scores. With a beam at least as large as the number of possible
     sequences nothing is ever pruned, so the ranking is exhaustive.
     """
-    ctx = speaker.context_ids(input)
+    contexts = [speaker.context_ids(input)]
     pragmatic = distractors is not None
     if pragmatic:
-        contexts = [ctx] + [speaker.context_ids(d) for d in distractors]
-        init_beliefs = np.full(len(contexts), -math.log(len(contexts)))
-    beam = [
+        contexts += [speaker.context_ids(d) for d in distractors]
+    memo = _RowMemo(speaker, contexts)
+    live: list[_Hypothesis] = [
         _Hypothesis(
             ids=(),
             score=0.0,
             base=0.0,
-            beliefs=init_beliefs if pragmatic else None,
+            beliefs=np.full(len(contexts), -math.log(len(contexts)))
+            if pragmatic
+            else None,
         )
     ]
+    finished: list[_Hypothesis] = []
+    beam = live
     for _ in range(config.max_len):
-        live = [h for h in beam if not h.finished]
         if not live:
             break
-        pool = [h for h in beam if h.finished]
-        for hyp in live:
-            if pragmatic:
-                stacked = np.stack(
-                    [speaker.step_logprobs_ctx(c, hyp.ids) for c in contexts]
+        rows, base_rows = memo.block([h.ids for h in live])
+        # np.array copies a list of equal rows into one array, as np.stack
+        # does, at a third of the call overhead.
+        base_steps = np.array(base_rows)
+        if pragmatic:
+            beliefs = np.array([h.beliefs for h in live])
+            prag_steps, posterior = _pragmatic_block(
+                np.array(rows), beliefs, config.alpha
+            )
+        else:
+            prag_steps = base_steps
+        score_keys = np.array([h.score for h in live])[:, None] + prag_steps
+        base_keys = np.array([h.base for h in live])[:, None] + base_steps
+        # A -inf step means the token is impossible here; such expansions
+        # can never outrank a finite one and their belief updates are
+        # undefined, so they are not expanded.
+        parent, token = np.nonzero(score_keys > -math.inf)
+        scores = score_keys[parent, token]
+        bases = base_keys[parent, token]
+        chosen = np.lexsort((-bases, -scores))[: config.beam_size]
+        pool = list(finished)
+        for i in chosen.tolist():
+            k, tok = int(parent[i]), int(token[i])
+            pool.append(
+                _Hypothesis(
+                    ids=live[k].ids + (tok,),
+                    score=float(scores[i]),
+                    base=float(bases[i]),
+                    beliefs=posterior[k, :, tok] if pragmatic else None,
+                    finished=tok == speaker.eos_id,
                 )
-                base_steps = _log_softmax(stacked[0])
-                extended = stacked + hyp.beliefs[:, None]
-                denom = _logsumexp_rows(extended)
-                if config.alpha == 0.0:
-                    # Bitwise reduction to the base objective; also avoids
-                    # 0 * -inf on tokens no input can produce.
-                    prag_steps = base_steps
-                else:
-                    with np.errstate(invalid="ignore"):
-                        listener_term = extended[0] - denom
-                    listener_term[denom == -math.inf] = -math.inf
-                    prag_steps = _log_softmax(config.alpha * listener_term + stacked[0])
-            else:
-                base_steps = _log_softmax(speaker.step_logprobs_ctx(ctx, hyp.ids))
-                prag_steps = base_steps
-            score_keys = hyp.score + prag_steps
-            base_keys = hyp.base + base_steps
-            order = np.lexsort((-base_keys, -score_keys))
-            for v in order[: config.beam_size]:
-                tok = int(v)
-                # A -inf step means the token is impossible here; such
-                # hypotheses can never outrank a finite one and their
-                # belief updates are undefined, so they are not expanded.
-                if score_keys[tok] == -math.inf:
-                    break
-                if pragmatic:
-                    new_beliefs = extended[:, tok] - denom[tok]
-                else:
-                    new_beliefs = None
-                pool.append(
-                    _Hypothesis(
-                        ids=hyp.ids + (tok,),
-                        score=float(score_keys[tok]),
-                        base=float(base_keys[tok]),
-                        beliefs=new_beliefs,
-                        finished=tok == speaker.eos_id,
-                    )
-                )
+            )
         pool.sort(key=lambda h: h.sort_key)
         beam = pool[: config.beam_size]
+        finished = [h for h in beam if h.finished]
+        live = sorted((h for h in beam if not h.finished), key=lambda h: h.ids)
     beam.sort(key=lambda h: h.sort_key)
     return beam
 

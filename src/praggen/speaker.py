@@ -33,6 +33,7 @@ from .core import (
     TokenSequence,
     Vocabulary,
     linearize_mr,
+    log_softmax,
 )
 
 SpeakerInput = "MeaningRepresentation | TokenSequence | tuple[int, ...]"
@@ -43,10 +44,18 @@ class SpeakerModel(ABC):
 
     Implementations expose a dense next-token log-probability vector for
     any (input, prefix) pair; the exponentiated vector sums to one.
+
+    ``prefix_window`` declares how many trailing prefix ids a step row
+    depends on, given the context: two prefixes with the same
+    ``prefix_key`` get the same row, which lets a decoder reuse it. A
+    prefix shorter than the window is its own key, since its row also
+    depends on the context. ``None`` (the default) declares that a row may
+    depend on the whole prefix.
     """
 
     vocab_size: int
     eos_id: int
+    prefix_window: int | None = None
 
     @abstractmethod
     def context_ids(self, input: object) -> tuple[int, ...]:
@@ -57,6 +66,17 @@ class SpeakerModel(ABC):
         self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]
     ) -> np.ndarray:
         """Log-probability vector over the vocabulary for the next token."""
+
+
+def prefix_key(prefix_ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
+    """The part of ``prefix_ids`` a step row depends on, given the context.
+
+    That is the last ``window`` ids, or the whole prefix when it is shorter
+    than the window or ``window`` is ``None``.
+    """
+    if window is None:
+        return prefix_ids
+    return prefix_ids[-window:] if window else ()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -92,6 +112,7 @@ class NGramSpeaker(SpeakerModel):
         self.copy_bonus = float(copy_bonus)
         self.vocab_size = len(vocab)
         self.eos_id = EOS_ID
+        self.prefix_window = order - 1
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.totals: dict[tuple[int, ...], int] = {}
         self._window_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -173,9 +194,7 @@ class NGramSpeaker(SpeakerModel):
         base = self._window_vector(window)
         if self.copy_bonus == 0.0:
             return base
-        logits = base + self.copy_bonus * self._bonus_vector(ctx)
-        m = logits.max()
-        return _freeze(logits - (m + math.log(np.exp(logits - m).sum())))
+        return log_softmax(base + self.copy_bonus * self._bonus_vector(ctx))
 
 
 class EnsembleSpeaker(SpeakerModel):
@@ -202,9 +221,7 @@ class EnsembleSpeaker(SpeakerModel):
     ) -> np.ndarray:
         a = self.member_a.step_logprobs_ctx(ctx, prefix_ids)
         b = self.member_b.step_logprobs_ctx(ctx, prefix_ids)
-        mixed = self.weight * a + (1.0 - self.weight) * b
-        m = mixed.max()
-        return _freeze(mixed - (m + math.log(np.exp(mixed - m).sum())))
+        return log_softmax(self.weight * a + (1.0 - self.weight) * b)
 
 
 # ── module-level operations ─────────────────────────────────────────────────

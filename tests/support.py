@@ -1,18 +1,22 @@
-"""Micro models and brute-force rankings used as oracles by the tests.
+"""Micro models, brute-force rankings and a reference engine for the tests.
 
-Scores here are accumulated with plain ``math`` calls over Python lists,
-independent of the package's numpy helpers, so an agreement test cannot
-inherit a bug from the code under test.
+Oracle scores here are accumulated with plain ``math`` calls over Python
+lists, independent of the package's numpy helpers, so an agreement test
+cannot inherit a bug from the code under test. The reference beam engine
+keeps the package's numpy arithmetic but runs it one hypothesis at a time,
+so the batched engine can be held to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
+from praggen.core import DegenerateDistributionError
 from praggen.speaker import SpeakerModel
 
 
@@ -168,3 +172,103 @@ def best_distractor_sequence(
         return (-prag, -base, s)
 
     return min(universe, key=key)
+
+
+# ── reference beam engine ───────────────────────────────────────────────────
+
+
+@dataclass
+class ReferenceHypothesis:
+    ids: tuple[int, ...]
+    score: float
+    base: float
+    beliefs: np.ndarray | None = None
+    finished: bool = False
+    sort_key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sort_key = (-self.score, -self.base, self.ids)
+
+
+def _reference_log_softmax(scores: np.ndarray) -> np.ndarray:
+    m = scores.max()
+    if m == -math.inf:
+        raise DegenerateDistributionError("degenerate distribution: no finite mass")
+    return scores - (m + math.log(np.exp(scores - m).sum()))
+
+
+def _reference_logsumexp_rows(stacked: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over axis 0, mapping all -inf columns to -inf."""
+    m = stacked.max(axis=0)
+    out = np.full(stacked.shape[-1], -math.inf)
+    finite = m > -math.inf
+    if finite.any():
+        shifted = stacked[:, finite] - m[finite]
+        out[finite] = m[finite] + np.log(np.exp(shifted).sum(axis=0))
+    return out
+
+
+def reference_beam_decode(speaker, input, config, distractors=None):
+    """The beam engine written one hypothesis at a time.
+
+    Every live hypothesis scores its own step row (one per input in
+    distractor mode), proposes its top ``beam_size`` finite tokens, and the
+    pooled proposals plus the finished hypotheses are sorted by
+    (score, base score, ids) and cut back to the beam. The package's engine
+    must return the same hypotheses with the same bits.
+    """
+    ctx = speaker.context_ids(input)
+    pragmatic = distractors is not None
+    if pragmatic:
+        contexts = [ctx] + [speaker.context_ids(d) for d in distractors]
+        init_beliefs = np.full(len(contexts), -math.log(len(contexts)))
+    beam = [
+        ReferenceHypothesis(
+            ids=(), score=0.0, base=0.0, beliefs=init_beliefs if pragmatic else None
+        )
+    ]
+    for _ in range(config.max_len):
+        live = [h for h in beam if not h.finished]
+        if not live:
+            break
+        pool = [h for h in beam if h.finished]
+        for hyp in live:
+            if pragmatic:
+                stacked = np.stack(
+                    [speaker.step_logprobs_ctx(c, hyp.ids) for c in contexts]
+                )
+                base_steps = _reference_log_softmax(stacked[0])
+                extended = stacked + hyp.beliefs[:, None]
+                denom = _reference_logsumexp_rows(extended)
+                if config.alpha == 0.0:
+                    prag_steps = base_steps
+                else:
+                    with np.errstate(invalid="ignore"):
+                        listener_term = extended[0] - denom
+                    listener_term[denom == -math.inf] = -math.inf
+                    prag_steps = _reference_log_softmax(
+                        config.alpha * listener_term + stacked[0]
+                    )
+            else:
+                base_steps = _reference_log_softmax(speaker.step_logprobs_ctx(ctx, hyp.ids))
+                prag_steps = base_steps
+            score_keys = hyp.score + prag_steps
+            base_keys = hyp.base + base_steps
+            order = np.lexsort((-base_keys, -score_keys))
+            for v in order[: config.beam_size]:
+                tok = int(v)
+                if score_keys[tok] == -math.inf:
+                    break
+                pool.append(
+                    ReferenceHypothesis(
+                        ids=hyp.ids + (tok,),
+                        score=float(score_keys[tok]),
+                        base=float(base_keys[tok]),
+                        beliefs=extended[:, tok] - denom[tok] if pragmatic else None,
+                        finished=tok == speaker.eos_id,
+                    )
+                )
+        pool.sort(key=lambda h: h.sort_key)
+        beam = pool[: config.beam_size]
+    beam.sort(key=lambda h: h.sort_key)
+    return beam

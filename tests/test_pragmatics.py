@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from praggen.core import TokenSequence
+from praggen.cli import main as cli_main
+from praggen.core import TokenSequence, load_schema, log_softmax
+from praggen.data import delexicalize, read_jsonl
 from praggen.pragmatics import (
     MODE_BASE,
     MODE_DISTRACTOR,
@@ -19,7 +21,10 @@ from praggen.pragmatics import (
     generate,
     pragmatic_decode_distractor,
     rerank_reconstructor,
+    _beam_decode,
+    _RowMemo,
 )
+from praggen.speaker import EnsembleSpeaker, load_speaker, prefix_key
 
 from support import (
     TabularListener,
@@ -32,6 +37,7 @@ from support import (
     log_softmax_row,
     logsumexp,
     random_speaker,
+    reference_beam_decode,
     stationary_tables,
 )
 
@@ -431,6 +437,146 @@ def test_distractor_decode_avoids_impossible_tokens():
     got = pragmatic_decode_distractor(speaker, (0,), [(1,)], cfg)
     assert 1 not in got.output.ids
     assert math.isfinite(got.combined_score)
+
+
+# ── batched engine against the loop reference ───────────────────────────────
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+def assert_same_beam(speaker, input, config, distractors=None):
+    """The engine's hypotheses equal the reference engine's, bit for bit."""
+    got = _beam_decode(speaker, input, config, distractors)
+    want = reference_beam_decode(speaker, input, config, distractors)
+    assert [h.ids for h in got] == [h.ids for h in want]
+    assert bits(h.score for h in got) == bits(h.score for h in want)
+    assert bits(h.base for h in got) == bits(h.base for h in want)
+    assert [h.finished for h in got] == [h.finished for h in want]
+    for g, w in zip(got, want):
+        if distractors is None:
+            assert g.beliefs is None
+        else:
+            assert bits(g.beliefs) == bits(w.beliefs)
+
+
+def rough_speaker(rng, inputs, vocab_size, eos_id, max_len):
+    """Unnormalized tables drawn from four levels, one of them -inf.
+
+    Few distinct values make exact score ties common; every row keeps at
+    least one finite entry.
+    """
+    levels = [math.log(0.1), math.log(0.2), math.log(0.3), -math.inf]
+    tables = {}
+    for inp in inputs:
+        rows = {}
+        for prefix in all_prefixes(vocab_size, eos_id, max_len):
+            row = [rng.choice(levels) for _ in range(vocab_size)]
+            if max(row) == -math.inf:
+                row[rng.randrange(vocab_size)] = 0.0
+            rows[prefix] = row
+        tables[tuple(inp)] = rows
+    return TabularSpeaker(tables, vocab_size, eos_id)
+
+
+def test_engine_matches_the_reference_on_tabular_speakers():
+    rng = random.Random(80)
+    for trial in range(300):
+        vocab_size = rng.choice([3, 4, 5])
+        eos_id = rng.randrange(vocab_size)
+        max_len = rng.choice([2, 3, 4])
+        # Up to ten inputs, so the belief sums also run past eight terms.
+        inputs = [(i,) for i in range(rng.choice([2, 3, 10]))]
+        make = rough_speaker if trial % 3 else random_speaker
+        speaker = make(rng, inputs, vocab_size, eos_id, max_len)
+        config = DecodeConfig(
+            beam_size=rng.choice([1, 2, 3, 7, 200]),
+            max_len=max_len,
+            alpha=rng.choice([0.0, 0.5, 1.0, 3.0]),
+        )
+        assert_same_beam(speaker, inputs[0], config)
+        assert_same_beam(speaker, inputs[0], config, inputs[1:])
+
+
+ORDERS = (2, 3, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def synth_models(tmp_path_factory):
+    """N-gram speakers of each order in ``ORDERS``, with copy bonus, trained
+    on a small synth corpus, keyed by order; and the test MRs."""
+    root = tmp_path_factory.mktemp("engine")
+    data = root / "data"
+    sizes = ("--train-size", "400", "--dev-size", "1", "--test-size", "8")
+    assert cli_main(["synth", "--out", str(data), "--seed", "17", *sizes]) == 0
+    schema_path = data / "schema.json"
+    for order in ORDERS:
+        argv = ["train", "--data", str(data / "train.jsonl"), "--schema",
+                str(schema_path), "--out", str(root / f"order{order}.json"),
+                "--order", str(order), "--copy-bonus", "1.0"]
+        assert cli_main(argv) == 0
+    schema = load_schema(schema_path)
+    speakers = {
+        n: load_speaker(root / f"order{n}.json", schema=schema) for n in ORDERS
+    }
+    records = [delexicalize(r, schema) for r in read_jsonl(data / "test.jsonl", schema)]
+    return speakers, [r.mr for r in records]
+
+
+def test_row_memo_returns_the_speakers_own_rows(synth_models):
+    # Every stretch of the best base outputs, shortest first as in a decode,
+    # so a prefix shorter than the window meets longer ones ending alike.
+    speakers, mrs = synth_models
+    mr = mrs[0]
+    for order, speaker in speakers.items():
+        assert speaker.prefix_window == order - 1
+        contexts = [speaker.context_ids(m) for m in (mr, mr.without("eatType"))]
+        config = DecodeConfig(beam_size=10, max_len=30)
+        outputs = [c.output.ids for c in beam_search(speaker, mr, config)]
+        stretches = {o[i:j] for o in outputs for j in range(len(o)) for i in range(j + 1)}
+        prefixes = sorted(stretches, key=lambda p: (len(p), p))
+        memo = _RowMemo(speaker, contexts)
+        rows, base = memo.block(prefixes)
+        for prefix, stacked, normalized in zip(prefixes, rows, base):
+            for ctx, row in zip(contexts, stacked):
+                assert np.array_equal(row, speaker.step_logprobs_ctx(ctx, prefix))
+            assert np.array_equal(normalized, log_softmax(stacked[0]))
+        assert len(memo.entries) < len(prefixes)
+
+
+def test_engine_matches_the_reference_on_trained_speakers(synth_models):
+    speakers, mrs = synth_models
+    ensemble = EnsembleSpeaker(speakers[3], speakers[2], 0.7)
+    assert ensemble.prefix_window is None
+    for speaker in (*speakers.values(), ensemble):
+        for alpha in (0.0, 1.0):
+            config = DecodeConfig(beam_size=10, max_len=30, alpha=alpha)
+            for mr in mrs[:4]:
+                distractors = [mr.without(a) for a, _ in list(mr.items())[1:3]]
+                assert_same_beam(speaker, mr, config)
+                assert_same_beam(speaker, mr, config, distractors)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_engine_asks_for_each_windowed_row_once(synth_models, order):
+    speakers, mrs = synth_models
+    speaker = speakers[order]
+    step = speaker.step_logprobs_ctx
+    calls = []
+
+    def counting_step(ctx, prefix_ids):
+        calls.append((ctx, prefix_key(prefix_ids, speaker.prefix_window)))
+        return step(ctx, prefix_ids)
+
+    speaker.step_logprobs_ctx = counting_step
+    try:
+        mr = mrs[0]
+        config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
+        _beam_decode(speaker, mr, config, [mr.without("eatType")])
+    finally:
+        del speaker.step_logprobs_ctx
+    assert calls and len(calls) == len(set(calls))
 
 
 # ── dispatch ─────────────────────────────────────────────────────────────────
