@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,6 +20,7 @@ from .core import (
     AttributeSchema,
     detokenize,
     load_schema,
+    map_jobs,
     schema_to_dict,
     tokenize,
 )
@@ -373,8 +373,8 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
             distractors = policy.distractors(rec.mr, freqs=freqs, previous=previous)
         jobs.append((rec, distractors))
 
-    def decode(job: tuple[CorpusRecord, list[object]]) -> dict:
-        rec, distractors = job
+    def decode(i: int) -> dict:
+        rec, distractors = jobs[i]
         cand = generate(speaker, rec.mr, config, listener=listener, distractors=distractors)
         text = relexicalize(detokenize(cand.output, vocab), rec.delex_map)
         payload: dict[str, object] = {
@@ -387,11 +387,7 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
             payload["combined_score"] = cand.combined_score
         return payload
 
-    if cfg["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            payloads = list(pool.map(decode, jobs))
-    else:
-        payloads = [decode(job) for job in jobs]
+    payloads = map_jobs(decode, len(jobs), cfg["workers"])
     _write_lines(
         [json.dumps(p, sort_keys=True, separators=(",", ":")) for p in payloads],
         args.out,
@@ -471,7 +467,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    matrix = ablation_matrix(speaker, delexed, schema, vocab, config)
+    matrix = ablation_matrix(speaker, delexed, schema, vocab, config, workers=cfg["workers"])
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -487,7 +483,6 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of settings; flags override it")
     p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--workers", type=int, help="parallel decode workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mask-all | mask-single:<attr> | previous-unit | none")
     gen.add_argument("--preset", choices=sorted(_PRESETS),
                      help="decoding preset supplying beam, length, and weights")
+    gen.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     ev = sub.add_parser("evaluate", help="score predictions against references")
     _add_common(ev)
@@ -559,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--alpha", type=float)
     ab.add_argument("--beam-size", type=int, dest="beam_size")
     ab.add_argument("--max-len", type=int, dest="max_len")
+    ab.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     return parser
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,6 +249,42 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     out = scores - np.array(log_z).reshape(m.shape)
     out.setflags(write=False)
     return out
+
+
+# ── per-record worker pool ──────────────────────────────────────────────────
+
+_forked_job: Callable[[int], object] | None = None  # set in each forked process
+
+
+def pool_size(workers: int, jobs: int, cpus: int | None) -> int:
+    """Processes for ``jobs`` jobs: ``workers``, capped by ``cpus`` and ``jobs``."""
+    return max(1, min(workers, cpus or 1, jobs))
+
+
+def _adopt_job(job: Callable[[int], object]) -> None:
+    global _forked_job
+    _forked_job = job
+
+
+def _run_forked_job(index: int) -> object:
+    return _forked_job(index)
+
+
+def map_jobs(job: Callable[[int], object], jobs: int, workers: int) -> list:
+    """``[job(i) for i in range(jobs)]`` on up to ``workers`` forked processes.
+
+    The processes inherit ``job`` and all it reads through fork, so only
+    indices and results cross a pipe. Results keep index order, and the
+    first job to fail in index order raises, as in a plain loop. With one
+    process that loop runs and no pool starts.
+    """
+    size = pool_size(workers, jobs, os.cpu_count())
+    if size == 1:
+        return [job(i) for i in range(jobs)]
+    import multiprocessing  # here, so that serial runs do not pay for the import
+
+    with multiprocessing.get_context("fork").Pool(size, _adopt_job, (job,)) as pool:
+        return list(pool.imap(_run_forked_job, range(jobs)))
 
 
 # ── attribute schemas ───────────────────────────────────────────────────────

@@ -22,6 +22,7 @@ from .core import (
     AttributeSchema,
     Vocabulary,
     detokenize,
+    map_jobs,
     normalize_words,
 )
 from .data import CorpusRecord
@@ -200,6 +201,7 @@ def ablation_matrix(
     vocab: Vocabulary,
     config: DecodeConfig,
     measured: Sequence[str] | None = None,
+    workers: int = 1,
 ) -> dict[str, dict[str, float]]:
     """Coverage grid: one base row, then one row per masked attribute.
 
@@ -207,7 +209,7 @@ def ablation_matrix(
     single distractor that drops the masked attribute; a record that never
     assigns it has no distractor, and its masked decode would be the plain
     beam decode, so it reuses the base row's output. Row-to-row differences
-    therefore isolate the masked attribute's effect.
+    therefore isolate the masked attribute's effect. ``workers``: see ``map_jobs``.
     """
     cols = list(measured) if measured is not None else measured_attributes(schema)
     matcher = CoverageMatcher(schema)
@@ -217,23 +219,23 @@ def ablation_matrix(
     def row(texts: list[str]) -> dict[str, float]:
         return {c: coverage_ratio(records, texts, c, matcher) for c in cols}
 
-    base_texts = [
-        detokenize(generate(speaker, rec.mr, base_config).output, vocab)
-        for rec in records
-    ]
-    matrix: dict[str, dict[str, float]] = {"BASE": row(base_texts)}
-    for attribute in cols:
-        policy = DistractorPolicy(POLICY_MASK_SINGLE, attribute=attribute)
-        texts = []
-        for rec, base_text in zip(records, base_texts):
-            distractors = policy.distractors(rec.mr)
+    def record_texts(i: int) -> list[str]:
+        """Record ``i``'s BASE text, then its text under each mask."""
+        mr = records[i].mr
+        base_text = detokenize(generate(speaker, mr, base_config).output, vocab)
+        texts = [base_text]
+        for attribute in cols:
+            policy = DistractorPolicy(POLICY_MASK_SINGLE, attribute=attribute)
+            distractors = policy.distractors(mr)
             if not distractors:
                 texts.append(base_text)
                 continue
-            cand = generate(speaker, rec.mr, masked_config, distractors=distractors)
+            cand = generate(speaker, mr, masked_config, distractors=distractors)
             texts.append(detokenize(cand.output, vocab))
-        matrix[attribute] = row(texts)
-    return matrix
+        return texts
+
+    per_record = map_jobs(record_texts, len(records), workers)
+    return {name: row([t[r] for t in per_record]) for r, name in enumerate(["BASE", *cols])}
 
 
 def write_ablation_csv(matrix: Mapping[str, Mapping[str, float]], path: str | Path) -> None:

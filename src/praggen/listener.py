@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -79,8 +80,10 @@ class AttributeClassifierListener(ListenerModel):
         self.token_counts: dict[str, dict[str, dict[int, int]]] = {
             name: {c: {} for c in classes} for name, classes in self.classes.items()
         }
-        self._log_priors: dict[str, np.ndarray] = {}
-        self._log_token: dict[str, np.ndarray] = {}
+        # Each attribute's rows in the tables, which stack all classes.
+        ends = accumulate(len(c) for c in self.classes.values())
+        self._rows = {n: slice(e - len(c), e) for (n, c), e in zip(self.classes.items(), ends)}
+        self._log_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # ── training ────────────────────────────────────────────────────────
 
@@ -97,48 +100,48 @@ class AttributeClassifierListener(ListenerModel):
             row = self.token_counts[spec.name][cls]
             for tok in bag:
                 row[tok] = row.get(tok, 0) + 1
-        self._log_priors.clear()
-        self._log_token.clear()
+        self._log_tables = None
 
     # ── smoothed tables ─────────────────────────────────────────────────
 
-    def _tables(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
-        if attribute not in self._log_priors:
-            classes = self.classes[attribute]
-            counts = np.array(
-                [self.class_counts[attribute][c] for c in classes], dtype=float
-            )
-            prior = np.log(counts + self.k) - math.log(
-                counts.sum() + self.k * len(classes)
-            )
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log priors (classes,) and token log-likelihoods (V, classes)."""
+        if self._log_tables is None:
             v = len(self.vocab)
-            tok = np.zeros((len(classes), v))
-            for ci, c in enumerate(classes):
-                row = self.token_counts[attribute][c]
-                total = sum(row.values())
-                denom = math.log(total + self.k * v)
-                tok[ci, :] = math.log(self.k) - denom
-                for t, cnt in row.items():
-                    tok[ci, t] = math.log(cnt + self.k) - denom
+            priors, columns = [], []
+            for name, classes in self.classes.items():
+                counts = np.array([self.class_counts[name][c] for c in classes], dtype=float)
+                priors.append(
+                    np.log(counts + self.k) - math.log(counts.sum() + self.k * len(classes))
+                )
+                for c in classes:
+                    row = self.token_counts[name][c]
+                    denom = math.log(sum(row.values()) + self.k * v)
+                    column = np.full(v, math.log(self.k) - denom)
+                    for t, cnt in row.items():
+                        column[t] = math.log(cnt + self.k) - denom
+                    columns.append(column)
+            prior, tok = np.concatenate(priors), np.stack(columns, axis=1)
             prior.setflags(write=False)
             tok.setflags(write=False)
-            self._log_priors[attribute] = prior
-            self._log_token[attribute] = tok
-        return self._log_priors[attribute], self._log_token[attribute]
+            self._log_tables = (prior, tok)
+        return self._log_tables
+
+    def _class_scores(self, output: TokenSequence) -> np.ndarray:
+        """Every class's prior plus the bag's token rows, added row by row in bag order."""
+        prior, tok = self._tables()
+        return np.concatenate((prior[None, :], tok[_bag_ids(output)])).sum(axis=0)
 
     def class_log_posteriors(self, attribute: str, output: TokenSequence) -> np.ndarray:
         """Log posterior over ``attribute``'s classes given the output bag."""
-        prior, tok = self._tables(attribute)
-        scores = prior.copy()
-        for t in _bag_ids(output):
-            scores += tok[:, t]
-        return log_softmax(scores)
+        return log_softmax(self._class_scores(output)[self._rows[attribute]])
 
     # ── listener contract ───────────────────────────────────────────────
 
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("the attribute listener scores meaning representations")
+        scores = self._class_scores(output)
         total = 0.0
         for spec in self.schema:
             value = input.get(spec.name)
@@ -150,7 +153,7 @@ class AttributeClassifierListener(ListenerModel):
                 raise ValueError(
                     f"value {value!r} for attribute {spec.name!r} is not a listener class"
                 ) from None
-            total += float(self.class_log_posteriors(spec.name, output)[idx])
+            total += float(log_softmax(scores[self._rows[spec.name]])[idx])
         return total
 
 

@@ -4,7 +4,8 @@ Oracle scores here are accumulated with plain ``math`` calls over Python
 lists, independent of the package's numpy helpers, so an agreement test
 cannot inherit a bug from the code under test. The reference beam engine
 keeps the package's numpy arithmetic but runs it one hypothesis at a time,
-so the batched engine can be held to it bit for bit.
+so the batched engine can be held to it bit for bit; the reference listener
+score does the same one attribute at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import product
 
 import numpy as np
 
-from praggen.core import DegenerateDistributionError
+from praggen.core import BOS_ID, EOS_ID, SEP_ID, DegenerateDistributionError
+from praggen.listener import ABSENT_CLASS
 from praggen.speaker import SpeakerModel
 
 
@@ -272,3 +274,34 @@ def reference_beam_decode(speaker, input, config, distractors=None):
         beam = pool[: config.beam_size]
     beam.sort(key=lambda h: h.sort_key)
     return beam
+
+
+def reference_reconstruction_logprob(listener, mr, output) -> float:
+    """The attribute listener's score computed one attribute at a time.
+
+    Each attribute gets its own smoothed tables, adds the output's token
+    columns to its prior one token at a time and log-normalizes. The
+    listener, which scores all attributes' classes at once, must return the
+    same bits.
+    """
+    k = listener.k
+    v = len(listener.vocab)
+    bag = [t for t in output.ids if t not in (BOS_ID, EOS_ID, SEP_ID)]
+    total = 0.0
+    for spec in listener.schema:
+        classes = listener.classes[spec.name]
+        counts = np.array([listener.class_counts[spec.name][c] for c in classes], dtype=float)
+        scores = np.log(counts + k) - math.log(counts.sum() + k * len(classes))
+        tok = np.zeros((len(classes), v))
+        for ci, c in enumerate(classes):
+            row = listener.token_counts[spec.name][c]
+            denom = math.log(sum(row.values()) + k * v)
+            tok[ci, :] = math.log(k) - denom
+            for t, cnt in row.items():
+                tok[ci, t] = math.log(cnt + k) - denom
+        for t in bag:
+            scores += tok[:, t]
+        value = mr.get(spec.name)
+        idx = classes.index(value if value is not None else ABSENT_CLASS)
+        total += float(_reference_log_softmax(scores)[idx])
+    return total

@@ -1,9 +1,12 @@
+import importlib
 import json
+import multiprocessing.pool
 
 import pytest
 
 from praggen.cli import main
-from praggen.data import read_jsonl, write_jsonl
+from praggen.core import load_schema
+from praggen.data import delexicalize, read_jsonl, write_jsonl
 
 
 def run(*argv):
@@ -349,3 +352,91 @@ def test_ablate_rejects_empty_data(ws, tmp_path):
     empty.write_text("", encoding="utf-8")
     assert run("ablate", "--data", empty, "--speaker", ws["speaker"],
                "--schema", ws["schema"], "--out", tmp_path / "m.csv") == 2
+
+
+# ── workers ──────────────────────────────────────────────────────────────────
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let ``--workers 2`` start two processes whatever the host's CPU count."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+
+def decode_args(ws, command):
+    args = [command, "--data", ws["dev"], "--speaker", ws["speaker"],
+            "--schema", ws["schema"], "--alpha", 1.0]
+    return args + ["--beam-size", 5] if command == "ablate" else args
+
+
+@pytest.mark.parametrize("mode", ["base", "reconstructor", "distractor"])
+def test_generate_pooled_output_equals_serial_output(ws, tmp_path, two_cpus, mode):
+    flags = {
+        "base": [],
+        "reconstructor": ["--listener", ws["listener"], "--lambda", 0.9],
+        "distractor": ["--distractor-policy", "mask-all"],
+    }[mode]
+    args = [*decode_args(ws, "generate"), "--mode", mode, *flags]
+    serial, pooled = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
+    assert run(*args, "--out", serial, "--workers", 1) == 0
+    assert run(*args, "--out", pooled, "--workers", 2) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_ablate_pooled_csv_equals_serial_csv(ws, tmp_path, two_cpus):
+    serial, pooled = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert run(*decode_args(ws, "ablate"), "--out", serial, "--workers", 1) == 0
+    assert run(*decode_args(ws, "ablate"), "--out", pooled, "--workers", 2) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("command, module", [("generate", "praggen.cli"),
+                                             ("ablate", "praggen.evaluation")])
+def test_a_failing_worker_exits_like_a_serial_run(
+    ws, tmp_path, two_cpus, monkeypatch, capsys, command, module
+):
+    # The patch is made before the pool forks, so the workers inherit it.
+    schema = load_schema(ws["schema"])
+    poisoned = delexicalize(read_jsonl(ws["dev"], schema)[5], schema).mr
+    real_generate = importlib.import_module(module).generate
+
+    def generate(speaker, input, config, **kwargs):
+        if input == poisoned:
+            raise ValueError("cannot decode the sixth record")
+        return real_generate(speaker, input, config, **kwargs)
+
+    monkeypatch.setattr(f"{module}.generate", generate)
+    errors = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}" / "out"
+        assert run(*decode_args(ws, command), "--out", out, "--workers", workers) == 3
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: cannot decode the sixth record\n"
+
+
+def test_serial_runs_start_no_pool(ws, tmp_path, two_cpus, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    for command in ("generate", "ablate"):
+        args = [*decode_args(ws, command), "--out", tmp_path / command]
+        assert run(*args, "--workers", 1) == 0
+        with pytest.raises(AssertionError, match="a pool was started"):
+            run(*args, "--workers", 2)
+
+
+def test_workers_is_a_flag_of_the_decode_commands_only(ws, tmp_path):
+    assert run("synth", "--out", tmp_path / "data", "--workers", 2) == 2
+    assert run("train", "--data", ws["train"], "--schema", ws["schema"],
+               "--out", tmp_path / "m.json", "--workers", 2) == 2
+    preds = tmp_path / "echo.jsonl"
+    echo_predictions(read_jsonl(ws["dev"]), preds)
+    evaluate = ["evaluate", "--data", ws["dev"], "--predictions", preds,
+                "--schema", ws["schema"]]
+    assert run(*evaluate, "--workers", 2) == 2
+    # the config key stays valid for every command
+    config = tmp_path / "workers.json"
+    config.write_text('{"workers": 2}', encoding="utf-8")
+    assert run(*evaluate, "--config", config) == 0

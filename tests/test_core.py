@@ -27,7 +27,9 @@ from praggen.core import (
     detokenize,
     linearize_mr,
     log_normalize,
+    map_jobs,
     normalize_words,
+    pool_size,
     schema_from_dict,
     schema_to_dict,
     tokenize,
@@ -219,6 +221,31 @@ def test_log_normalize_rejects_degenerate_input():
         log_normalize([-math.inf, -math.inf])
     with pytest.raises(ValueError):
         log_normalize([])
+
+
+# ── worker pool ──────────────────────────────────────────────────────────────
+
+
+def test_pool_size_caps_workers_by_cpus_and_jobs():
+    assert pool_size(1, 500, 2) == 1
+    assert pool_size(8, 1, 2) == 1
+    assert pool_size(10_000, 500, 2) == 2
+    assert pool_size(10_000, 3, 64) == 3
+    assert pool_size(4, 0, 2) == 1
+    assert pool_size(4, 10, None) == 1
+
+
+def test_map_jobs_keeps_index_order_and_raises_the_first_failure(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert map_jobs(lambda i: i * i, 20, 2) == [i * i for i in range(20)]
+
+    def job(i):
+        if i in (5, 13, 14):
+            raise ValueError(f"job {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match="^job 5 failed$"):
+        map_jobs(job, 20, 2)
 
 
 # ── schemas ──────────────────────────────────────────────────────────────────

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -27,9 +28,15 @@ from praggen.listener import (
     train_attribute_listener,
     train_reverse_listener,
 )
+from praggen.data import (
+    build_corpus_vocabulary,
+    default_grammar,
+    delexicalize,
+    generate_corpus,
+)
 from praggen.speaker import sequence_logprob
 
-from support import logsumexp
+from support import logsumexp, reference_reconstruction_logprob
 
 
 def area_price_schema():
@@ -189,6 +196,27 @@ def test_bag_ignores_structural_tokens():
     assert listener.reconstruction_logprob(mr, plain) == listener.reconstruction_logprob(
         mr, wrapped
     )
+
+
+def test_scores_match_the_per_attribute_reference_bit_for_bit():
+    # A synth corpus with its own listener: every record's MR against its
+    # own and two other references, then random bags of every length,
+    # structural ids included, against random MRs of the corpus.
+    grammar = default_grammar()
+    records = [delexicalize(r, grammar.schema) for r in generate_corpus(grammar, 300, 17)]
+    vocab = build_corpus_vocabulary(records, grammar.schema)
+    pairs = [(r.mr, tokenize(r.reference, vocab)) for r in records]
+    listener = train_attribute_listener(pairs, grammar.schema, k=0.5, vocab=vocab)
+    rng = random.Random(3)
+    cases = [(pairs[i][0], pairs[j][1]) for i in range(60) for j in (i, i + 1, i + 7)]
+    others = [i for i in range(len(vocab)) if i != EOS_ID]
+    for length in range(41):
+        ids = [rng.choice(others) for _ in range(length)] + [EOS_ID] * (length % 2)
+        cases.append((rng.choice(pairs)[0], TokenSequence(ids)))
+    for mr, output in cases:
+        got = listener.reconstruction_logprob(mr, output)
+        want = reference_reconstruction_logprob(listener, mr, output)
+        assert got.hex() == want.hex()
 
 
 def test_reconstruction_scores_are_nonpositive():
