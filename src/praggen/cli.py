@@ -30,6 +30,7 @@ from .data import (
     default_grammar,
     delexicalize,
     generate_corpus,
+    has_unmapped_placeholder,
     load_grammar,
     read_jsonl,
     relexicalize,
@@ -393,6 +394,9 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
         args.out,
     )
     print(f"decoded {len(payloads)} records ({mode} mode) to {args.out}")
+    leaks = sum(has_unmapped_placeholder(p["output"]) for p in payloads)
+    print(f"placeholders: {leaks} of {len(payloads)} outputs keep an unmapped "
+          "*_PLH token", file=sys.stderr)
     return 0
 
 
@@ -482,7 +486,6 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of settings; flags override it")
-    p.add_argument("--seed", type=int, help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic corpus")
     _add_common(synth)
+    synth.add_argument("--seed", type=int, help="random seed")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--train-size", type=int, dest="train_size")
     synth.add_argument("--dev-size", type=int, dest="dev_size")

@@ -18,7 +18,6 @@ import csv
 import json
 import random
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -414,15 +413,21 @@ def delexicalize(record: CorpusRecord, schema: AttributeSchema) -> CorpusRecord:
 def relexicalize(text: str, delex_map: Mapping[str, str]) -> str:
     """Substitute original surfaces back for placeholder tokens.
 
-    Placeholders without a mapping are left verbatim with a warning.
+    Placeholders without a mapping are left verbatim; see
+    :func:`has_unmapped_placeholder`.
     """
     out = text
     for placeholder in sorted(delex_map):
         out = _replace_surface(out, placeholder, delex_map[placeholder])
-    for leftover in sorted(PLACEHOLDER_TOKENS):
-        if re.search(r"(?<!\w)" + leftover + r"(?!\w)", out):
-            warnings.warn(f"unmapped placeholder {leftover} left in output")
     return out
+
+
+def has_unmapped_placeholder(text: str) -> bool:
+    """Whether a relexicalized text still holds a placeholder token."""
+    return any(
+        re.search(r"(?<!\w)" + placeholder + r"(?!\w)", text)
+        for placeholder in PLACEHOLDER_TOKENS
+    )
 
 
 # ── JSONL records ───────────────────────────────────────────────────────────

@@ -225,22 +225,6 @@ def train_reverse_listener(
     return ReverseSpeakerListener(model, schema, vocab)
 
 
-def attribute_posteriors(
-    listener: AttributeClassifierListener, output: TokenSequence
-) -> dict[str, np.ndarray]:
-    """Per-attribute posterior probability vectors for ``output``."""
-    return {
-        spec.name: np.exp(listener.class_log_posteriors(spec.name, output))
-        for spec in listener.schema
-    }
-
-
-def reconstruction_logprob(
-    listener: ListenerModel, input: object, output: TokenSequence
-) -> float:
-    return listener.reconstruction_logprob(input, output)
-
-
 # ── serialization ───────────────────────────────────────────────────────────
 
 

@@ -29,7 +29,16 @@ Within one decode, a memo fetches each speaker row once per (context,
 window) key, where the window is the last ``prefix_window`` prefix ids the
 speaker declares its rows depend on (the whole prefix when it is shorter
 than that or the speaker declares none; see ``speaker.prefix_key``), and
-keeps the log-softmaxed row of the true input beside it.
+keeps the log-softmaxed row of the true input beside it. A step's keys not
+yet fetched go to the speaker's ``step_logprobs_block`` as one call.
+
+Step scores are log-softmax outputs, so they are at most 0 and cumulative
+scores never rise. A decode that returns only its top hypothesis (base
+mode, the distractor fallback and ``pragmatic_decode_distractor``)
+therefore stops as soon as that hypothesis is finished and scores strictly
+above every live one: the returned result is the one the full beam would
+rank first, bit for bit. ``beam_search``, and so reconstructor reranking,
+still runs the whole beam and returns all of it.
 """
 
 from __future__ import annotations
@@ -183,13 +192,9 @@ def _support_rows(
     """One-hypothesis (1, L, V) step block and (1, L) beliefs."""
     if prefix.terminated:
         raise ValueError("prefix is terminated; no further tokens can be scored")
-    rows = np.stack(
-        [
-            speaker.step_logprobs_ctx(speaker.context_ids(s), prefix.ids)
-            for s in belief.support
-        ]
-    )
-    return rows[None], np.array([belief.log_beliefs])
+    contexts = [speaker.context_ids(s) for s in belief.support]
+    rows = speaker.step_logprobs_block(contexts, [prefix.ids])
+    return rows, np.array([belief.log_beliefs])
 
 
 # ── belief machinery ────────────────────────────────────────────────────────
@@ -271,20 +276,21 @@ class _RowMemo:
     def block(
         self, prefixes: list[tuple[int, ...]]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The K (L, V) row stacks and K normalized true-input rows."""
-        rows, base = [], []
-        for ids in prefixes:
-            key = prefix_key(ids, self.window)
-            entry = self.entries.get(key)
-            if entry is None:
-                stacked = np.array(
-                    [self.speaker.step_logprobs_ctx(c, ids) for c in self.contexts]
-                )
-                entry = (stacked, log_softmax(stacked[0]))
-                self.entries[key] = entry
-            rows.append(entry[0])
-            base.append(entry[1])
-        return rows, base
+        """The K (L, V) row stacks and K normalized true-input rows.
+
+        The step's keys not yet fetched go to the speaker as one block.
+        """
+        keys = [prefix_key(ids, self.window) for ids in prefixes]
+        missing: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key, ids in zip(keys, prefixes):
+            if key not in self.entries:
+                missing.setdefault(key, ids)
+        if missing:
+            rows = self.speaker.step_logprobs_block(self.contexts, list(missing.values()))
+            base = log_softmax(rows[:, 0])
+            self.entries.update(zip(missing, zip(rows, base)))
+        entries = [self.entries[key] for key in keys]
+        return [e[0] for e in entries], [e[1] for e in entries]
 
 
 def _beam_decode(
@@ -292,8 +298,12 @@ def _beam_decode(
     input: object,
     config: DecodeConfig,
     distractors: Sequence[object] | None = None,
+    n_best: int | None = None,
 ) -> list[_Hypothesis]:
     """Shared beam loop for base and distractor decoding.
+
+    Returns the ``n_best`` best hypotheses (the whole beam by default),
+    best first.
 
     The live hypotheses are kept in lexicographic order of their ids. Each
     step gathers their scores, base scores and beliefs into arrays, scores
@@ -307,7 +317,14 @@ def _beam_decode(
     Finished hypotheses stay in the beam and compete on their frozen
     scores. With a beam at least as large as the number of possible
     sequences nothing is ever pruned, so the ranking is exhaustive.
+
+    Every step score is a ``log_softmax`` output, so it is at most 0 and a
+    hypothesis never scores above its parent, in floating point too. The
+    loop therefore stops once the best ``n_best`` are finished and each
+    scores strictly above every live hypothesis: no later step can change
+    them. At ``n_best = beam_size`` that is the end of the live beam.
     """
+    n_best = config.beam_size if n_best is None else n_best
     contexts = [speaker.context_ids(input)]
     pragmatic = distractors is not None
     if pragmatic:
@@ -326,7 +343,10 @@ def _beam_decode(
     finished: list[_Hypothesis] = []
     beam = live
     for _ in range(config.max_len):
-        if not live:
+        # A live hypothesis among the best n_best fails this test itself,
+        # so passing it means those n_best are finished.
+        top = beam[:n_best]
+        if all(h.score < top[-1].score for h in live):
             break
         rows, base_rows = memo.block([h.ids for h in live])
         # np.array copies a list of equal rows into one array, as np.stack
@@ -365,7 +385,7 @@ def _beam_decode(
         finished = [h for h in beam if h.finished]
         live = sorted((h for h in beam if not h.finished), key=lambda h: h.ids)
     beam.sort(key=lambda h: h.sort_key)
-    return beam
+    return beam[:n_best]
 
 
 # ── public decoding operations ──────────────────────────────────────────────
@@ -380,13 +400,21 @@ def beam_search(
     ``max_len`` tokens long, sorted by base score with ties broken by
     lexicographic token ids.
     """
-    hyps = _beam_decode(speaker, input, config)
+    return _base_candidates(speaker, input, config)
+
+
+def _base_candidates(
+    speaker: SpeakerModel,
+    input: object,
+    config: DecodeConfig,
+    n_best: int | None = None,
+) -> list[ScoredCandidate]:
     return [
         ScoredCandidate(
             output=TokenSequence(h.ids, eos_id=speaker.eos_id),
             base_logprob=h.base,
         )
-        for h in hyps
+        for h in _beam_decode(speaker, input, config, n_best=n_best)
     ]
 
 
@@ -439,8 +467,7 @@ def pragmatic_decode_distractor(
             "distractor decoding needs at least one distractor; "
             "use base mode when the policy yields none"
         )
-    hyps = _beam_decode(speaker, input, config, distractors=list(distractors))
-    top = hyps[0]
+    top = _beam_decode(speaker, input, config, distractors=list(distractors), n_best=1)[0]
     return ScoredCandidate(
         output=TokenSequence(top.ids, eos_id=speaker.eos_id),
         base_logprob=top.base,
@@ -460,16 +487,16 @@ def generate(
 
     Distractor mode falls back to the plain beam output when no distractor
     is supplied (the first unit of a document, a fully unmaskable input).
+    Only reconstructor mode needs the whole beam; the others decode until
+    their top hypothesis is settled.
     """
-    if config.mode == MODE_BASE:
-        return beam_search(speaker, input, config)[0]
     if config.mode == MODE_RECONSTRUCTOR:
         if listener is None:
             raise ValueError("reconstructor mode requires a listener")
         candidates = beam_search(speaker, input, config)
         return rerank_reconstructor(input, candidates, listener, config.lambda_)[0]
-    if config.mode == MODE_DISTRACTOR:
-        if not distractors:
-            return beam_search(speaker, input, config)[0]
+    if config.mode == MODE_DISTRACTOR and distractors:
         return pragmatic_decode_distractor(speaker, input, distractors, config)
+    if config.mode in (MODE_BASE, MODE_DISTRACTOR):
+        return _base_candidates(speaker, input, config, n_best=1)[0]
     raise ValueError(f"unknown decode mode {config.mode!r}")

@@ -67,6 +67,18 @@ class SpeakerModel(ABC):
     ) -> np.ndarray:
         """Log-probability vector over the vocabulary for the next token."""
 
+    def step_logprobs_block(
+        self, contexts: Sequence[tuple[int, ...]], prefixes: Sequence[tuple[int, ...]]
+    ) -> np.ndarray:
+        """The (n, L, V) rows of ``n`` prefixes under ``L`` contexts.
+
+        Row ``[i, j]`` equals ``step_logprobs_ctx(contexts[j], prefixes[i])``
+        bit for bit; this default stacks those calls.
+        """
+        return np.array(
+            [[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes]
+        )
+
 
 def prefix_key(prefix_ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
     """The part of ``prefix_ids`` a step row depends on, given the context.
@@ -115,9 +127,8 @@ class NGramSpeaker(SpeakerModel):
         self.prefix_window = order - 1
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.totals: dict[tuple[int, ...], int] = {}
-        self._window_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
         self._bonus_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._uniform: np.ndarray | None = None
 
     # ── training ────────────────────────────────────────────────────────
 
@@ -140,7 +151,7 @@ class NGramSpeaker(SpeakerModel):
             row = self.counts.setdefault(history, {})
             row[nxt] = row.get(nxt, 0) + 1
             self.totals[history] = self.totals.get(history, 0) + 1
-        self._window_cache.clear()
+        self._table = None
 
     # ── scoring ─────────────────────────────────────
 
@@ -155,24 +166,21 @@ class NGramSpeaker(SpeakerModel):
             return tuple(int(i) for i in input)
         raise TypeError(f"unsupported speaker input type {type(input).__name__}")
 
-    def _window_vector(self, history: tuple[int, ...]) -> np.ndarray:
-        cached = self._window_cache.get(history)
-        if cached is not None:
-            return cached
-        total = self.totals.get(history)
-        if total is None:
-            if self._uniform is None:
-                floor = math.log(self.k) - math.log(self.k * self.vocab_size)
-                self._uniform = _freeze(np.full(self.vocab_size, floor))
-            vec = self._uniform
-        else:
-            denom = math.log(total + self.k * self.vocab_size)
-            arr = np.full(self.vocab_size, math.log(self.k) - denom)
-            for tok, cnt in self.counts[history].items():
-                arr[tok] = math.log(cnt + self.k) - denom
-            vec = _freeze(arr)
-        self._window_cache[history] = vec
-        return vec
+    def _window_table(self) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+        """Each seen history's row index, and the frozen (histories + 1, V)
+        matrix of add-k rows whose last row serves every unseen history."""
+        if self._table is None:
+            index = {history: i for i, history in enumerate(self.counts)}
+            size = self.vocab_size
+            floor = math.log(self.k) - math.log(self.k * size)
+            table = np.full((len(index) + 1, size), floor)
+            for history, i in index.items():
+                denom = math.log(self.totals[history] + self.k * size)
+                table[i] = math.log(self.k) - denom
+                for tok, cnt in self.counts[history].items():
+                    table[i, tok] = math.log(cnt + self.k) - denom
+            self._table = (index, _freeze(table))
+        return self._table
 
     def _bonus_vector(self, ctx: tuple[int, ...]) -> np.ndarray:
         cached = self._bonus_cache.get(ctx)
@@ -189,12 +197,26 @@ class NGramSpeaker(SpeakerModel):
     def step_logprobs_ctx(
         self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]
     ) -> np.ndarray:
+        return self.step_logprobs_block((ctx,), (prefix_ids,))[0, 0]
+
+    def step_logprobs_block(
+        self, contexts: Sequence[tuple[int, ...]], prefixes: Sequence[tuple[int, ...]]
+    ) -> np.ndarray:
+        """One gather of the window rows, then one copy-bonus add and one
+        ``log_softmax`` over the whole block."""
+        index, table = self._window_table()
         span = self.order - 1
-        window = (ctx + (BOS_ID,) + prefix_ids)[-span:]
-        base = self._window_vector(window)
+        unseen = len(index)
+        rows = table[
+            [
+                [index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts]
+                for p in prefixes
+            ]
+        ]
         if self.copy_bonus == 0.0:
-            return base
-        return log_softmax(base + self.copy_bonus * self._bonus_vector(ctx))
+            return _freeze(rows)
+        bonus = np.array([self._bonus_vector(c) for c in contexts])
+        return log_softmax(rows + self.copy_bonus * bonus)
 
 
 class EnsembleSpeaker(SpeakerModel):
@@ -269,13 +291,6 @@ def sequence_logprob(model: SpeakerModel, input: object, output: TokenSequence) 
         vec = model.step_logprobs_ctx(ctx, output.ids[:t])
         total += float(vec[tok])
     return total
-
-
-def ensemble_logprob(score_a: float, score_b: float, weight: float) -> float:
-    """Weighted combination ``w * a + (1 - w) * b`` of two log scores."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("ensemble weight must lie in [0, 1]")
-    return weight * score_a + (1.0 - weight) * score_b
 
 
 # ── serialization ───────────────────────────────────────────────────────────

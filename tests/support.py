@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from praggen.core import BOS_ID, EOS_ID, SEP_ID, DegenerateDistributionError
+from praggen.core import BOS_ID, EOS_ID, SEP_ID, DegenerateDistributionError, log_softmax
 from praggen.listener import ABSENT_CLASS
 from praggen.speaker import SpeakerModel
 
@@ -274,6 +274,33 @@ def reference_beam_decode(speaker, input, config, distractors=None):
         beam = pool[: config.beam_size]
     beam.sort(key=lambda h: h.sort_key)
     return beam
+
+
+def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
+    """The n-gram speaker's step row computed on its own.
+
+    The add-k row of the window's history (uniform for an unseen history),
+    plus the copy bonus of the context's tokens, log-normalized. The
+    speaker, which gathers its rows from one matrix and normalizes a whole
+    block at once, must return the same bits.
+    """
+    k, size = speaker.k, speaker.vocab_size
+    window = (ctx + (BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
+    total = speaker.totals.get(window)
+    if total is None:
+        row = np.full(size, math.log(k) - math.log(k * size))
+    else:
+        denom = math.log(total + k * size)
+        row = np.full(size, math.log(k) - denom)
+        for tok, cnt in speaker.counts[window].items():
+            row[tok] = math.log(cnt + k) - denom
+    if speaker.copy_bonus == 0.0:
+        return row
+    feat = np.zeros(size)
+    for tok in ctx:
+        if tok != SEP_ID:
+            feat[tok] = 1.0
+    return log_softmax(row + speaker.copy_bonus * feat)
 
 
 def reference_reconstruction_logprob(listener, mr, output) -> float:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import multiprocessing.pool
+import re
 
 import pytest
 
@@ -440,3 +441,35 @@ def test_workers_is_a_flag_of_the_decode_commands_only(ws, tmp_path):
     config = tmp_path / "workers.json"
     config.write_text('{"workers": 2}', encoding="utf-8")
     assert run(*evaluate, "--config", config) == 0
+
+
+def test_seed_is_a_flag_of_synth_only(ws, tmp_path):
+    preds = tmp_path / "echo.jsonl"
+    echo_predictions(read_jsonl(ws["dev"]), preds)
+    evaluate = ["evaluate", "--data", ws["dev"], "--predictions", preds,
+                "--schema", ws["schema"]]
+    for argv in (
+        ["train", "--data", ws["train"], "--schema", ws["schema"], "--out", tmp_path / "m.json"],
+        [*decode_args(ws, "generate"), "--out", tmp_path / "p.jsonl"],
+        evaluate,
+        [*decode_args(ws, "ablate"), "--out", tmp_path / "m.csv"],
+    ):
+        assert run(*argv, "--seed", 3) == 2
+    # the config key stays valid for every command
+    config = tmp_path / "seed.json"
+    config.write_text('{"seed": 3}', encoding="utf-8")
+    assert run(*evaluate, "--config", config) == 0
+
+
+def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capfd):
+    reports, files = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert run(*decode_args(ws, "generate"), "--out", out, "--workers", workers) == 0
+        reports.append(capfd.readouterr().err)
+        files.append(out.read_bytes())
+    leaks = sum(bool(re.search(r"\b[A-Z]+_PLH\b", o)) for o in outputs_of(out))
+    assert 0 < leaks < 12
+    want = f"placeholders: {leaks} of 12 outputs keep an unmapped *_PLH token\n"
+    assert reports == [want, want]
+    assert files[0] == files[1]

@@ -21,9 +21,7 @@ from praggen.core import (
 from praggen.listener import (
     ABSENT_CLASS,
     AttributeClassifierListener,
-    attribute_posteriors,
     load_listener,
-    reconstruction_logprob,
     save_listener,
     train_attribute_listener,
     train_reverse_listener,
@@ -106,7 +104,7 @@ def test_joint_matches_hand_computed_product():
         hand_posterior(listener, "area", bag)[0]
         + hand_posterior(listener, "priceRange", bag)[0]
     )
-    assert reconstruction_logprob(listener, mr, output) == pytest.approx(want, abs=1e-12)
+    assert listener.reconstruction_logprob(mr, output) == pytest.approx(want, abs=1e-12)
 
 
 def test_discriminative_token_raises_its_class_posterior():
@@ -178,14 +176,6 @@ def test_joint_normalizes_over_all_complete_mrs():
             listener.reconstruction_logprob(MeaningRepresentation(assignments), output)
         )
     assert abs(total - 1.0) < 1e-6
-
-
-def test_attribute_posteriors_sum_to_one():
-    schema, vocab, pairs, listener = toy_setup()
-    posteriors = attribute_posteriors(listener, tokenize("high spot", vocab))
-    assert set(posteriors) == {"area", "priceRange"}
-    for vec in posteriors.values():
-        assert abs(vec.sum() - 1.0) < 1e-9
 
 
 def test_bag_ignores_structural_tokens():

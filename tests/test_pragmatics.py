@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -446,10 +447,11 @@ def bits(values):
     return [float(x).hex() for x in values]
 
 
-def assert_same_beam(speaker, input, config, distractors=None):
-    """The engine's hypotheses equal the reference engine's, bit for bit."""
-    got = _beam_decode(speaker, input, config, distractors)
-    want = reference_beam_decode(speaker, input, config, distractors)
+def assert_same_beam(speaker, input, config, distractors=None, n_best=None):
+    """The engine's best ``n_best`` hypotheses (all by default) equal those
+    of the reference engine's full beam, bit for bit."""
+    got = _beam_decode(speaker, input, config, distractors, n_best)
+    want = reference_beam_decode(speaker, input, config, distractors)[:n_best]
     assert [h.ids for h in got] == [h.ids for h in want]
     assert bits(h.score for h in got) == bits(h.score for h in want)
     assert bits(h.base for h in got) == bits(h.base for h in want)
@@ -495,8 +497,9 @@ def test_engine_matches_the_reference_on_tabular_speakers():
             max_len=max_len,
             alpha=rng.choice([0.0, 0.5, 1.0, 3.0]),
         )
-        assert_same_beam(speaker, inputs[0], config)
-        assert_same_beam(speaker, inputs[0], config, inputs[1:])
+        for n_best in (1, config.beam_size):
+            assert_same_beam(speaker, inputs[0], config, n_best=n_best)
+            assert_same_beam(speaker, inputs[0], config, inputs[1:], n_best)
 
 
 ORDERS = (2, 3, 4, 5)
@@ -554,29 +557,53 @@ def test_engine_matches_the_reference_on_trained_speakers(synth_models):
             config = DecodeConfig(beam_size=10, max_len=30, alpha=alpha)
             for mr in mrs[:4]:
                 distractors = [mr.without(a) for a, _ in list(mr.items())[1:3]]
-                assert_same_beam(speaker, mr, config)
-                assert_same_beam(speaker, mr, config, distractors)
+                for n_best in (1, config.beam_size):
+                    assert_same_beam(speaker, mr, config, n_best=n_best)
+                    assert_same_beam(speaker, mr, config, distractors, n_best)
+
+
+def block_requests(speaker, decode):
+    """The (context, window key) rows ``decode()`` asks the speaker for."""
+    block = speaker.step_logprobs_block
+    requests = []
+
+    def counting_block(contexts, prefixes):
+        requests.extend(
+            (ctx, prefix_key(p, speaker.prefix_window)) for p in prefixes for ctx in contexts
+        )
+        return block(contexts, prefixes)
+
+    speaker.step_logprobs_block = counting_block
+    try:
+        decode()
+    finally:
+        del speaker.step_logprobs_block
+    return requests
 
 
 @pytest.mark.parametrize("order", [3, 5])
 def test_engine_asks_for_each_windowed_row_once(synth_models, order):
     speakers, mrs = synth_models
     speaker = speakers[order]
-    step = speaker.step_logprobs_ctx
-    calls = []
-
-    def counting_step(ctx, prefix_ids):
-        calls.append((ctx, prefix_key(prefix_ids, speaker.prefix_window)))
-        return step(ctx, prefix_ids)
-
-    speaker.step_logprobs_ctx = counting_step
-    try:
-        mr = mrs[0]
-        config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
-        _beam_decode(speaker, mr, config, [mr.without("eatType")])
-    finally:
-        del speaker.step_logprobs_ctx
+    mr = mrs[0]
+    config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
+    calls = block_requests(
+        speaker, partial(_beam_decode, speaker, mr, config, [mr.without("eatType")])
+    )
     assert calls and len(calls) == len(set(calls))
+
+
+def test_a_settled_top_stops_the_decode_early(synth_models):
+    speakers, mrs = synth_models
+    speaker = speakers[3]
+    mr = mrs[4]
+    config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
+    for distractors in (None, [mr.without("eatType")]):
+        full, settled = (
+            block_requests(speaker, partial(_beam_decode, speaker, mr, config, distractors, n))
+            for n in (config.beam_size, 1)
+        )
+        assert len(settled) < len(full)
 
 
 # ── dispatch ─────────────────────────────────────────────────────────────────

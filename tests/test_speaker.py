@@ -17,7 +17,6 @@ from praggen.core import (
 from praggen.speaker import (
     EnsembleSpeaker,
     NGramSpeaker,
-    ensemble_logprob,
     load_speaker,
     next_token_logprobs,
     save_speaker,
@@ -25,6 +24,7 @@ from praggen.speaker import (
     train_ngram_speaker,
 )
 
+from support import reference_ngram_row
 from test_core import small_schema
 
 
@@ -322,19 +322,49 @@ def test_ensemble_construction_validation():
         EnsembleSpeaker(member, other, weight=0.5)
 
 
-def test_ensemble_logprob_arithmetic():
-    assert ensemble_logprob(-4.0, -9.0, 1.0) == -4.0
-    assert ensemble_logprob(-1.0, -3.0, 0.5) == -2.0
-    with pytest.raises(ValueError):
-        ensemble_logprob(-1.0, -1.0, -0.1)
+# ── block rows ───────────────────────────────────────────────────────────────
 
 
-def test_ensemble_logprob_ordering_matches_brute_force():
-    candidates = {"p": (-1.0, -5.0), "q": (-2.0, -2.5), "r": (-4.0, -0.5)}
-    combined = {n: ensemble_logprob(sa, sb, 0.5) for n, (sa, sb) in candidates.items()}
-    by_hand = {n: 0.5 * sa + 0.5 * sb for n, (sa, sb) in candidates.items()}
-    assert sorted(combined, key=combined.get) == sorted(by_hand, key=by_hand.get)
-    assert combined == by_hand
+@pytest.mark.parametrize("copy_bonus", [0.0, 1.0])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus):
+    rng = random.Random(order)
+    vocab = Vocabulary.build([f"w{i}" for i in range(8)])
+    words = [vocab.id(f"w{i}") for i in range(8)]
+    # The last two words never occur in training, so windows holding them
+    # are unseen histories.
+    pairs = [
+        (
+            tuple(rng.choices(words[:6], k=rng.randint(1, 4))),
+            TokenSequence(rng.choices(words[:6], k=rng.randint(0, 5))),
+        )
+        for _ in range(60)
+    ]
+    model = train_ngram_speaker(pairs, order, 0.3, vocab=vocab, copy_bonus=copy_bonus)
+    contexts = [pairs[0][0], pairs[1][0], (words[6], SEP_ID, words[7])]
+    # Prefixes from empty to longer than the window, seen and unseen.
+    prefixes = [()] + [
+        tuple(rng.choices(words, k=n)) for n in range(1, 7) for _ in range(4)
+    ] + [o.ids[:n] for _, o in pairs[:6] for n in range(len(o.ids) + 1)]
+    block = model.step_logprobs_block(contexts, prefixes)
+    assert block.shape == (len(prefixes), len(contexts), len(vocab))
+    seen = set()
+    for prefix, rows in zip(prefixes, block):
+        for ctx, row in zip(contexts, rows):
+            want = reference_ngram_row(model, ctx, prefix)
+            assert row.tobytes() == want.tobytes()
+            assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
+            seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.totals)
+    assert seen == {True, False}
+
+
+def test_training_after_scoring_rebuilds_the_rows():
+    model, vocab, a, b = two_pair_model()
+    before = model.step_logprobs_ctx((a,), (a,))
+    model.observe((a,), TokenSequence([a, a]))
+    after = model.step_logprobs_ctx((a,), (a,))
+    assert after.tobytes() == reference_ngram_row(model, (a,), (a,)).tobytes()
+    assert after.tobytes() != before.tobytes()
 
 
 # ── serialization ────────────────────────────────────────────────────────────
