@@ -11,7 +11,6 @@ from .core import (
     AttributeSchema,
     AttributeSpec,
     DegenerateDistributionError,
-    Document,
     MeaningRepresentation,
     TokenSequence,
     UnbuildableContextError,
@@ -20,7 +19,6 @@ from .core import (
     detokenize,
     linearize_mr,
     load_schema,
-    log_normalize,
     tokenize,
     validate_mr,
 )
@@ -41,7 +39,6 @@ from .distractor import (
     ValueFrequencyTable,
     mask_all_distractor,
     mask_single_distractor,
-    previous_unit_distractor,
     value_frequencies,
 )
 from .evaluation import (
@@ -73,7 +70,6 @@ from .pragmatics import (
     rerank_reconstructor,
 )
 from .speaker import (
-    EnsembleSpeaker,
     NGramSpeaker,
     SpeakerModel,
     load_speaker,
@@ -96,8 +92,6 @@ __all__ = [
     "DecodeConfig",
     "DegenerateDistributionError",
     "DistractorPolicy",
-    "Document",
-    "EnsembleSpeaker",
     "ListenerModel",
     "MeaningRepresentation",
     "NGramSpeaker",
@@ -126,13 +120,11 @@ __all__ = [
     "load_listener",
     "load_schema",
     "load_speaker",
-    "log_normalize",
     "mask_all_distractor",
     "mask_single_distractor",
     "next_token_logprobs",
     "parse_e2e_csv",
     "pragmatic_decode_distractor",
-    "previous_unit_distractor",
     "read_jsonl",
     "relexicalize",
     "rerank_reconstructor",

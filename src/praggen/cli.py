@@ -1,7 +1,7 @@
 """Command line pipeline: synth, train, generate, evaluate, ablate.
 
-Settings resolve in a fixed order: built-in defaults, then a ``--preset``
-(generate only), then the ``--config`` JSON file, then explicit flags.
+Settings resolve in a fixed order: built-in defaults, then the ``--config``
+JSON file, then explicit flags.
 Exit codes are 0 for success, 2 for usage or validation problems, and 3
 for runtime or data errors. All outputs are written deterministically, so
 a rerun with the same inputs is byte-identical.
@@ -63,7 +63,7 @@ from .pragmatics import (
     DecodeConfig,
     generate,
 )
-from .speaker import EnsembleSpeaker, load_speaker, save_speaker, train_ngram_speaker
+from .speaker import load_speaker, save_speaker, train_ngram_speaker
 
 
 class UsageError(Exception):
@@ -73,6 +73,8 @@ class UsageError(Exception):
 class DataError(Exception):
     """Unreadable or inconsistent data; exit code 3."""
 
+
+_DECODE_DEFAULTS = DecodeConfig()
 
 # Every knob a config file may set. Paths are deliberately not
 # configurable: they are per-invocation and stay on the command line.
@@ -88,11 +90,11 @@ DEFAULTS: dict[str, object] = {
     "copy_bonus": 1.0,
     "listener_type": "attribute-nb",
     "listener_k": 0.5,
-    "mode": MODE_BASE,
-    "beam_size": 10,
-    "max_len": 60,
-    "lambda_": 0.4,
-    "alpha": 0.2,
+    "mode": _DECODE_DEFAULTS.mode,
+    "beam_size": _DECODE_DEFAULTS.beam_size,
+    "max_len": _DECODE_DEFAULTS.max_len,
+    "lambda_": _DECODE_DEFAULTS.lambda_,
+    "alpha": _DECODE_DEFAULTS.alpha,
     "distractor_policy": POLICY_NONE,
     "metrics": "bleu,rouge,coverage",
 }
@@ -102,11 +104,6 @@ _CONFIG_ALIASES = {"lambda": "lambda_"}
 _MODES = (MODE_BASE, MODE_RECONSTRUCTOR, MODE_DISTRACTOR)
 _LISTENER_TYPES = ("attribute-nb", "reverse")
 _METRIC_NAMES = ("bleu", "rouge", "coverage")
-
-_PRESETS: dict[str, Callable[[], DecodeConfig]] = {
-    "mr": DecodeConfig.mr_preset,
-    "summarization": DecodeConfig.summarization_preset,
-}
 
 
 # ── settings resolution ─────────────────────────────────────────────────────
@@ -180,15 +177,6 @@ def _validate_settings(cfg: dict) -> None:
 
 def _settings(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        base = _PRESETS[preset]()
-        cfg.update(
-            beam_size=base.beam_size,
-            max_len=base.max_len,
-            lambda_=base.lambda_,
-            alpha=base.alpha,
-        )
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config))
     for key in DEFAULTS:
@@ -233,21 +221,24 @@ def _load_speaker(path: str, schema: AttributeSchema):
         raise DataError(f"{path}: invalid speaker ({exc})") from None
 
 
-def _speaker_vocabulary(speaker):
-    inner = speaker
-    while isinstance(inner, EnsembleSpeaker):
-        inner = inner.member_a
-    vocab = getattr(inner, "vocab", None)
-    if vocab is None:
-        raise DataError("speaker model carries no vocabulary")
-    return vocab
+def _load_listener(path: str, schema: AttributeSchema):
+    _require_file(path, "listener file")
+    try:
+        return load_listener(path, schema=schema)
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: invalid listener ({exc})") from None
 
 
-def _write_lines(lines: Sequence[str], path: str) -> None:
+def _output_path(path: str) -> Path:
+    """``path``, after creating its parent directory."""
     out = Path(path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    return out
+
+
+def _write_lines(lines: Sequence[str], path: str) -> None:
+    _output_path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 # ── commands ────────────────────────────────────────────────────────────────
@@ -306,9 +297,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
         schema=schema,
         copy_bonus=cfg["copy_bonus"],
     )
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args.out)
     save_speaker(speaker, out)
     print(f"trained order-{cfg['order']} speaker on {len(pairs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
@@ -331,15 +320,8 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     schema = _load_schema(args.schema)
     speaker = _load_speaker(args.speaker, schema)
-    vocab = _speaker_vocabulary(speaker)
     mode = cfg["mode"]
-    listener = None
-    if args.listener is not None:
-        _require_file(args.listener, "listener file")
-        try:
-            listener = load_listener(args.listener, schema=schema)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise DataError(f"{args.listener}: invalid listener ({exc})") from None
+    listener = None if args.listener is None else _load_listener(args.listener, schema)
     if mode == MODE_RECONSTRUCTOR and listener is None:
         raise UsageError("reconstructor mode requires --listener")
     try:
@@ -377,7 +359,7 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     def decode(i: int) -> dict:
         rec, distractors = jobs[i]
         cand = generate(speaker, rec.mr, config, listener=listener, distractors=distractors)
-        text = relexicalize(detokenize(cand.output, vocab), rec.delex_map)
+        text = relexicalize(detokenize(cand.output, speaker.vocab), rec.delex_map)
         payload: dict[str, object] = {
             "id": rec.id,
             "output": text,
@@ -456,7 +438,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
     schema = _load_schema(args.schema)
     speaker = _load_speaker(args.speaker, schema)
-    vocab = _speaker_vocabulary(speaker)
     records = _read_records(args.data, schema)
     if not records:
         raise UsageError("no records to ablate over")
@@ -471,10 +452,10 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    matrix = ablation_matrix(speaker, delexed, schema, vocab, config, workers=cfg["workers"])
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    matrix = ablation_matrix(
+        speaker, delexed, schema, speaker.vocab, config, workers=cfg["workers"]
+    )
+    out = _output_path(args.out)
     write_ablation_csv(matrix, out)
     print(f"wrote {len(matrix)}x{len(next(iter(matrix.values())))} "
           f"coverage matrix to {out}")
@@ -538,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="belief weight in distractor decoding")
     gen.add_argument("--distractor-policy", dest="distractor_policy",
                      help="mask-all | mask-single:<attr> | previous-unit | none")
-    gen.add_argument("--preset", choices=sorted(_PRESETS),
-                     help="decoding preset supplying beam, length, and weights")
     gen.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     ev = sub.add_parser("evaluate", help="score predictions against references")

@@ -136,7 +136,7 @@ class TokenSequence:
         suffix = ", terminated" if self.terminated else ""
         return f"TokenSequence({list(self.ids)}{suffix})"
 
-    def core_ids(self, eos_id: int = EOS_ID) -> tuple[int, ...]:
+    def core_ids(self) -> tuple[int, ...]:
         """Ids without the trailing terminator, if present."""
         if self.terminated:
             return self.ids[:-1]
@@ -213,22 +213,6 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
 
 
 # ── numeric helpers ─────────────────────────────────────────────────────────
-
-
-def log_normalize(log_weights: Sequence[float]) -> list[float]:
-    """Normalize log weights into a probability vector.
-
-    Uses max-shifted exponentiation so widely scaled inputs stay stable.
-    Raises :class:`DegenerateDistributionError` when every weight is -inf.
-    """
-    if len(log_weights) == 0:
-        raise ValueError("log_normalize requires a non-empty vector")
-    m = max(log_weights)
-    if m == -math.inf:
-        raise DegenerateDistributionError("degenerate distribution: no finite mass")
-    shifted = [math.exp(w - m) for w in log_weights]
-    total = sum(shifted)
-    return [s / total for s in shifted]
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -416,6 +400,15 @@ def load_schema(path: str | Path) -> AttributeSchema:
         return schema_from_dict(json.load(fh))
 
 
+def dump_json(payload: dict, path: Path) -> None:
+    """Write ``payload`` as compact key-sorted JSON plus a newline, so equal
+    payloads give equal bytes."""
+    path.write_text(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8",
+    )
+
+
 def default_schema() -> AttributeSchema:
     """The shipped restaurant-domain schema (8 attributes)."""
     resource = Path(__file__).parent / "resources" / "e2e_schema.json"
@@ -502,28 +495,3 @@ def linearize_mr(
                 ) from None
     ids.append(SEP_ID)
     return TokenSequence(ids)
-
-
-# ── documents ───────────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class Document:
-    """Ordered units of one kind: all MRs or all token sequences."""
-
-    units: tuple[object, ...]
-
-    def __post_init__(self) -> None:
-        if not self.units:
-            raise ValueError("a document needs at least one unit")
-        kinds = {type(u) for u in self.units}
-        if len(kinds) > 1:
-            raise ValueError("document units must be homogeneous")
-        if not isinstance(self.units[0], (MeaningRepresentation, TokenSequence)):
-            raise ValueError("units must be MeaningRepresentation or TokenSequence")
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-    def __getitem__(self, index: int) -> object:
-        return self.units[index]

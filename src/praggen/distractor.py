@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import AttributeSchema, Document, MeaningRepresentation
+from .core import AttributeSchema, MeaningRepresentation
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,6 @@ def mask_single_distractor(
     if attribute not in mr:
         raise ValueError(f"nothing to mask: attribute {attribute!r} is not assigned")
     return mr.without(attribute)
-
-
-def previous_unit_distractor(document: Document, index: int) -> object | None:
-    """The unit before ``index``, or None for the first unit."""
-    if not 0 <= index < len(document):
-        raise IndexError(f"unit index {index} outside document of {len(document)}")
-    if index == 0:
-        return None
-    return document[index - 1]
 
 
 # ── policy objects ──────────────────────────────────────────────────────────

@@ -31,6 +31,7 @@ from .core import (
     MeaningRepresentation,
     TokenSequence,
     Vocabulary,
+    dump_json,
     linearize_mr,
     log_softmax,
     schema_from_dict,
@@ -176,7 +177,7 @@ class ReverseSpeakerListener(ListenerModel):
         if isinstance(input, MeaningRepresentation):
             ids = linearize_mr(input, self.schema, self.vocab).ids
         elif isinstance(input, TokenSequence):
-            ids = input.core_ids(self.model.eos_id)
+            ids = input.core_ids()
         else:
             raise TypeError(f"unsupported listener input type {type(input).__name__}")
         return TokenSequence(ids + (EOS_ID,))
@@ -251,10 +252,7 @@ def save_listener(
                 for attr, by_class in listener.token_counts.items()
             },
         }
-        path.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        dump_json(payload, path)
         return
     if isinstance(listener, ReverseSpeakerListener):
         if model_path is None:
@@ -268,10 +266,7 @@ def save_listener(
         except ValueError:
             pass
         payload = {"type": "reverse", "model": str(model_ref)}
-        path.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        dump_json(payload, path)
         return
     raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
 
@@ -302,7 +297,5 @@ def load_listener(
         if not member.is_absolute():
             member = path.parent / member
         model = load_speaker(member)
-        if not isinstance(model, NGramSpeaker):
-            raise ValueError("reverse listener model must be an n-gram speaker")
         return ReverseSpeakerListener(model, schema, model.vocab)
     raise ValueError(f"unknown listener serialization type {kind!r}")

@@ -44,7 +44,7 @@ still runs the whole beam and returns all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -91,18 +91,6 @@ class DecodeConfig:
             raise ValueError("alpha must be non-negative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-
-    @classmethod
-    def mr_preset(cls, **overrides: object) -> "DecodeConfig":
-        """Defaults tuned for attribute-value inputs."""
-        cfg = cls(beam_size=10, max_len=60, lambda_=0.4, alpha=0.2)
-        return replace(cfg, **overrides) if overrides else cfg
-
-    @classmethod
-    def summarization_preset(cls, **overrides: object) -> "DecodeConfig":
-        """Defaults tuned for sentence inputs with document context."""
-        cfg = cls(beam_size=20, max_len=80, lambda_=0.9, alpha=1.0)
-        return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Base speaker models: smoothed n-gram scorers and their ensembles.
+"""Base speaker models: smoothed n-gram scorers.
 
 A speaker assigns a log-probability vector over the whole vocabulary to the
 next output token, conditioned on an input (a meaning representation or a
@@ -32,6 +32,7 @@ from .core import (
     MeaningRepresentation,
     TokenSequence,
     Vocabulary,
+    dump_json,
     linearize_mr,
     log_softmax,
 )
@@ -161,7 +162,7 @@ class NGramSpeaker(SpeakerModel):
                 raise ValueError("a schema is required to linearize MR inputs")
             return linearize_mr(input, self.schema, self.vocab).ids
         if isinstance(input, TokenSequence):
-            return input.core_ids(self.eos_id)
+            return input.core_ids()
         if isinstance(input, (tuple, list)):
             return tuple(int(i) for i in input)
         raise TypeError(f"unsupported speaker input type {type(input).__name__}")
@@ -219,33 +220,6 @@ class NGramSpeaker(SpeakerModel):
         return log_softmax(rows + self.copy_bonus * bonus)
 
 
-class EnsembleSpeaker(SpeakerModel):
-    """Per-step log-linear interpolation of two speakers over one vocabulary."""
-
-    def __init__(self, member_a: SpeakerModel, member_b: SpeakerModel, weight: float) -> None:
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError("ensemble weight must lie in [0, 1]")
-        if member_a.vocab_size != member_b.vocab_size:
-            raise ValueError("ensemble members must share one vocabulary")
-        if member_a.eos_id != member_b.eos_id:
-            raise ValueError("ensemble members disagree on the EOS id")
-        self.member_a = member_a
-        self.member_b = member_b
-        self.weight = float(weight)
-        self.vocab_size = member_a.vocab_size
-        self.eos_id = member_a.eos_id
-
-    def context_ids(self, input: object) -> tuple[int, ...]:
-        return self.member_a.context_ids(input)
-
-    def step_logprobs_ctx(
-        self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]
-    ) -> np.ndarray:
-        a = self.member_a.step_logprobs_ctx(ctx, prefix_ids)
-        b = self.member_b.step_logprobs_ctx(ctx, prefix_ids)
-        return log_softmax(self.weight * a + (1.0 - self.weight) * b)
-
-
 # ── module-level operations ─────────────────────────────────────────────────
 
 
@@ -296,23 +270,8 @@ def sequence_logprob(model: SpeakerModel, input: object, output: TokenSequence) 
 # ── serialization ───────────────────────────────────────────────────────────
 
 
-def _dump_json(payload: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-
-
-def save_speaker(
-    model: SpeakerModel,
-    path: str | Path,
-    member_paths: Sequence[str | Path] | None = None,
-) -> None:
-    """Serialize a speaker to deterministic JSON.
-
-    Ensembles are stored as references: both members are written to
-    ``member_paths`` (required) and the ensemble file records those paths.
-    """
+def save_speaker(model: SpeakerModel, path: str | Path) -> None:
+    """Serialize a speaker to deterministic JSON."""
     path = Path(path)
     if isinstance(model, NGramSpeaker):
         counts = {
@@ -321,7 +280,7 @@ def save_speaker(
             }
             for history, row in model.counts.items()
         }
-        _dump_json(
+        dump_json(
             {
                 "type": "ngram",
                 "order": model.order,
@@ -333,25 +292,11 @@ def save_speaker(
             path,
         )
         return
-    if isinstance(model, EnsembleSpeaker):
-        if member_paths is None or len(member_paths) != 2:
-            raise ValueError("saving an ensemble requires exactly two member paths")
-        for member, mp in zip((model.member_a, model.member_b), member_paths):
-            save_speaker(member, mp)
-        _dump_json(
-            {
-                "type": "ensemble",
-                "w": model.weight,
-                "members": [str(Path(p)) for p in member_paths],
-            },
-            path,
-        )
-        return
     raise TypeError(f"cannot serialize speaker of type {type(model).__name__}")
 
 
-def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> SpeakerModel:
-    """Load a serialized speaker; ensemble member paths resolve relative to it."""
+def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
+    """Load a serialized speaker."""
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     kind = payload.get("type")
@@ -370,16 +315,4 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> Spe
             model.counts[history] = parsed
             model.totals[history] = sum(parsed.values())
         return model
-    if kind == "ensemble":
-        member_a, member_b = (
-            load_speaker(_resolve(path, p), schema=schema) for p in payload["members"]
-        )
-        return EnsembleSpeaker(member_a, member_b, float(payload["w"]))
     raise ValueError(f"unknown speaker serialization type {kind!r}")
-
-
-def _resolve(anchor: Path, member: str) -> Path:
-    candidate = Path(member)
-    if candidate.is_absolute():
-        return candidate
-    return anchor.parent / candidate

@@ -241,13 +241,6 @@ def test_generate_config_file_resolution(ws, tmp_path):
     assert run(*common, "--config", tmp_path / "absent.json") == 2
 
 
-def test_generate_presets(ws, tmp_path):
-    rc = run("generate", "--data", ws["dev"], "--speaker", ws["speaker"],
-             "--schema", ws["schema"], "--out", tmp_path / "p.jsonl",
-             "--preset", "mr")
-    assert rc == 0
-
-
 # ── evaluate ─────────────────────────────────────────────────────────────────
 
 
@@ -459,6 +452,26 @@ def test_seed_is_a_flag_of_synth_only(ws, tmp_path):
     config = tmp_path / "seed.json"
     config.write_text('{"seed": 3}', encoding="utf-8")
     assert run(*evaluate, "--config", config) == 0
+
+
+def test_preset_is_not_a_flag(ws, tmp_path):
+    out = tmp_path / "p.jsonl"
+    assert run(*decode_args(ws, "generate"), "--out", out, "--preset", "mr") == 2
+    assert not out.exists()
+
+
+def test_generate_refuses_an_ensemble_speaker_file(ws, tmp_path, capsys):
+    ensemble = tmp_path / "ensemble.json"
+    ensemble.write_text(
+        json.dumps({"type": "ensemble", "w": 0.5,
+                    "members": [str(ws["speaker"]), str(ws["speaker"])]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "p.jsonl"
+    assert run("generate", "--data", ws["dev"], "--speaker", ensemble,
+               "--schema", ws["schema"], "--out", out) == 3
+    assert "unknown speaker serialization type 'ensemble'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capfd):

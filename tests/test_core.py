@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import praggen
 from praggen.core import (
     BOS_ID,
     EOS_ID,
@@ -17,7 +19,6 @@ from praggen.core import (
     AttributeSchema,
     AttributeSpec,
     DegenerateDistributionError,
-    Document,
     MeaningRepresentation,
     TokenSequence,
     UnbuildableContextError,
@@ -26,7 +27,7 @@ from praggen.core import (
     default_schema,
     detokenize,
     linearize_mr,
-    log_normalize,
+    log_softmax,
     map_jobs,
     normalize_words,
     pool_size,
@@ -189,38 +190,15 @@ def test_tokenize_detokenize_round_trip(words):
     assert detokenize(tokenize(text, vocab), vocab) == canonical_text(text)
 
 
-# ── log_normalize ────────────────────────────────────────────────────────────
+# ── log_softmax ──────────────────────────────────────────────────────────────
 
 
-@given(
-    st.lists(
-        st.floats(min_value=-200.0, max_value=100.0, allow_nan=False),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_log_normalize_yields_distribution(weights):
-    probs = log_normalize(weights)
-    assert abs(sum(probs) - 1.0) < 1e-9
-    assert all(p >= 0.0 for p in probs)
-
-
-def test_log_normalize_matches_direct_ratios():
-    probs = log_normalize([math.log(2), math.log(6)])
-    assert probs[0] == pytest.approx(0.25, abs=1e-12)
-    assert probs[1] == pytest.approx(0.75, abs=1e-12)
-
-
-def test_log_normalize_handles_minus_inf_entries():
-    probs = log_normalize([-math.inf, 0.0])
-    assert probs == [0.0, 1.0]
-
-
-def test_log_normalize_rejects_degenerate_input():
+def test_log_softmax_normalizes_rows_and_rejects_rows_without_mass():
+    out = log_softmax(np.array([[math.log(2), math.log(6)], [-math.inf, 0.0]]))
+    assert np.exp(out[0]).tolist() == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert out[1].tolist() == [-math.inf, 0.0]
     with pytest.raises(DegenerateDistributionError):
-        log_normalize([-math.inf, -math.inf])
-    with pytest.raises(ValueError):
-        log_normalize([])
+        log_softmax(np.array([[0.0, 1.0], [-math.inf, -math.inf]]))
 
 
 # ── worker pool ──────────────────────────────────────────────────────────────
@@ -391,17 +369,9 @@ def test_linearize_unknown_token_is_unbuildable():
         linearize_mr(MeaningRepresentation({"name": "rose cottage"}), schema, vocab)
 
 
-# ── documents ────────────────────────────────────────────────────────────────
+# ── package surface ──────────────────────────────────────────────────────────
 
 
-def test_document_requires_homogeneous_units():
-    mr = MeaningRepresentation({"area": "riverside"})
-    doc = Document(units=(mr, mr.without("area")))
-    assert len(doc) == 2
-    assert doc[1] == MeaningRepresentation({})
-    with pytest.raises(ValueError):
-        Document(units=())
-    with pytest.raises(ValueError):
-        Document(units=(mr, TokenSequence([7])))
-    with pytest.raises(ValueError):
-        Document(units=("text",))
+def test_every_exported_name_resolves_and_the_list_is_sorted():
+    assert [name for name in praggen.__all__ if not hasattr(praggen, name)] == []
+    assert praggen.__all__ == sorted(praggen.__all__)

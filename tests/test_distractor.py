@@ -1,12 +1,11 @@
 import pytest
 
-from praggen.core import Document, MeaningRepresentation, NAME_PLACEHOLDER
+from praggen.core import MeaningRepresentation, NAME_PLACEHOLDER
 from praggen.distractor import (
     DistractorPolicy,
     ValueFrequencyTable,
     mask_all_distractor,
     mask_single_distractor,
-    previous_unit_distractor,
     value_frequencies,
 )
 
@@ -127,20 +126,6 @@ def test_mask_single_of_a_singleton_is_empty():
 def test_mask_single_requires_the_attribute_to_be_assigned():
     with pytest.raises(ValueError, match="nothing to mask"):
         mask_single_distractor(mr(area="riverside"), "priceRange")
-
-
-# ── document units ───────────────────────────────────────────────────────────
-
-
-def test_previous_unit_lookup():
-    units = [mr(area="riverside"), mr(priceRange="cheap"), mr(familyFriendly="yes")]
-    doc = Document(units)
-    assert previous_unit_distractor(doc, 0) is None
-    assert previous_unit_distractor(doc, 2) == units[1]
-    with pytest.raises(IndexError):
-        previous_unit_distractor(doc, 3)
-    with pytest.raises(IndexError):
-        previous_unit_distractor(doc, -1)
 
 
 # ── policies ─────────────────────────────────────────────────────────────────

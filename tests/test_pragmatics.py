@@ -25,7 +25,7 @@ from praggen.pragmatics import (
     _beam_decode,
     _RowMemo,
 )
-from praggen.speaker import EnsembleSpeaker, load_speaker, prefix_key
+from praggen.speaker import load_speaker, prefix_key
 
 from support import (
     TabularListener,
@@ -81,16 +81,6 @@ def test_decode_config_validation():
         DecodeConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="mode"):
         DecodeConfig(mode="oracle")
-
-
-def test_decode_config_presets():
-    mr = DecodeConfig.mr_preset()
-    assert (mr.beam_size, mr.max_len, mr.lambda_, mr.alpha) == (10, 60, 0.4, 0.2)
-    summ = DecodeConfig.summarization_preset()
-    assert (summ.beam_size, summ.max_len, summ.lambda_, summ.alpha) == (20, 80, 0.9, 1.0)
-    tweaked = DecodeConfig.mr_preset(alpha=1.0, mode=MODE_DISTRACTOR)
-    assert tweaked.alpha == 1.0 and tweaked.mode == MODE_DISTRACTOR
-    assert tweaked.beam_size == 10
 
 
 def test_scored_candidate_requires_paired_scores():
@@ -550,9 +540,7 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models):
 
 def test_engine_matches_the_reference_on_trained_speakers(synth_models):
     speakers, mrs = synth_models
-    ensemble = EnsembleSpeaker(speakers[3], speakers[2], 0.7)
-    assert ensemble.prefix_window is None
-    for speaker in (*speakers.values(), ensemble):
+    for speaker in speakers.values():
         for alpha in (0.0, 1.0):
             config = DecodeConfig(beam_size=10, max_len=30, alpha=alpha)
             for mr in mrs[:4]:

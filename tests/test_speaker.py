@@ -15,7 +15,6 @@ from praggen.core import (
     linearize_mr,
 )
 from praggen.speaker import (
-    EnsembleSpeaker,
     NGramSpeaker,
     load_speaker,
     next_token_logprobs,
@@ -279,49 +278,6 @@ def test_copy_bonus_never_boosts_sep():
     assert ratios[a] == pytest.approx(math.exp(beta) * ratios[b], rel=1e-9)
 
 
-# ── ensembles ────────────────────────────────────────────────────────────────
-
-
-def test_ensemble_weight_one_equals_member_a():
-    member_a, vocab, a, b = two_pair_model()
-    member_b = train_ngram_speaker(
-        [((b,), TokenSequence([a, a]))], 2, 0.3, vocab=vocab
-    )
-    ens = EnsembleSpeaker(member_a, member_b, weight=1.0)
-    for prefix in (TokenSequence([]), TokenSequence([a]), TokenSequence([b])):
-        got = next_token_logprobs(ens, (a,), prefix)
-        want = next_token_logprobs(member_a, (a,), prefix)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_ensemble_of_identical_members_is_the_member():
-    member, vocab, a, b = two_pair_model()
-    ens = EnsembleSpeaker(member, member, weight=0.3)
-    for prefix in (TokenSequence([]), TokenSequence([b, a])):
-        got = next_token_logprobs(ens, (b,), prefix)
-        want = next_token_logprobs(member, (b,), prefix)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_ensemble_steps_normalize():
-    member_a, vocab, a, b = two_pair_model()
-    member_b = train_ngram_speaker([((), TokenSequence([b]))], 2, 1.0, vocab=vocab)
-    ens = EnsembleSpeaker(member_a, member_b, weight=0.4)
-    vec = next_token_logprobs(ens, (a,), TokenSequence([a]))
-    assert abs(np.exp(vec).sum() - 1.0) < 1e-9
-
-
-def test_ensemble_construction_validation():
-    member, vocab, a, b = two_pair_model()
-    other = train_ngram_speaker(
-        [((), TokenSequence([7]))], 2, 0.1, vocab=Vocabulary.build(["a", "b", "c"])
-    )
-    with pytest.raises(ValueError, match="weight"):
-        EnsembleSpeaker(member, member, weight=1.5)
-    with pytest.raises(ValueError, match="vocabulary"):
-        EnsembleSpeaker(member, other, weight=0.5)
-
-
 # ── block rows ───────────────────────────────────────────────────────────────
 
 
@@ -394,27 +350,6 @@ def test_retraining_writes_identical_bytes(tmp_path):
     save_speaker(first, p1)
     save_speaker(second, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_ensemble_round_trip(tmp_path):
-    member_a, vocab, a, b = two_pair_model()
-    member_b = train_ngram_speaker([((), TokenSequence([a]))], 2, 0.5, vocab=vocab)
-    ens = EnsembleSpeaker(member_a, member_b, weight=0.7)
-    path = tmp_path / "ensemble.json"
-    save_speaker(ens, path, member_paths=[tmp_path / "ma.json", tmp_path / "mb.json"])
-    loaded = load_speaker(path)
-    assert isinstance(loaded, EnsembleSpeaker)
-    assert loaded.weight == 0.7
-    got = next_token_logprobs(loaded, (a,), TokenSequence([b]))
-    want = next_token_logprobs(ens, (a,), TokenSequence([b]))
-    assert np.array_equal(got, want)
-
-
-def test_ensemble_save_requires_member_paths(tmp_path):
-    member, vocab, a, b = two_pair_model()
-    ens = EnsembleSpeaker(member, member, weight=0.5)
-    with pytest.raises(ValueError, match="member paths"):
-        save_speaker(ens, tmp_path / "e.json")
 
 
 def test_load_rejects_unknown_type(tmp_path):
