@@ -193,12 +193,26 @@ def test_tokenize_detokenize_round_trip(words):
 # ── log_softmax ──────────────────────────────────────────────────────────────
 
 
-def test_log_softmax_normalizes_rows_and_rejects_rows_without_mass():
-    out = log_softmax(np.array([[math.log(2), math.log(6)], [-math.inf, 0.0]]))
-    assert np.exp(out[0]).tolist() == pytest.approx([0.25, 0.75], abs=1e-12)
-    assert out[1].tolist() == [-math.inf, 0.0]
+def test_log_normalize_matches_direct_ratios():
+    out = log_softmax(np.array([[math.log(2), math.log(6)], [math.log(1), math.log(3)]]))
+    assert np.exp(out).tolist() == [
+        pytest.approx([0.25, 0.75], abs=1e-12),
+        pytest.approx([0.25, 0.75], abs=1e-12),
+    ]
+
+
+def test_log_normalize_handles_minus_inf_entries():
+    assert log_softmax(np.array([-math.inf, 0.0])).tolist() == [-math.inf, 0.0]
+    assert log_softmax(np.array([[-math.inf, 0.0], [0.0, 0.0]]))[0].tolist() == [-math.inf, 0.0]
+
+
+def test_log_normalize_rejects_degenerate_input():
+    with pytest.raises(DegenerateDistributionError):
+        log_softmax(np.array([-math.inf, -math.inf]))
     with pytest.raises(DegenerateDistributionError):
         log_softmax(np.array([[0.0, 1.0], [-math.inf, -math.inf]]))
+    with pytest.raises(ValueError):
+        log_softmax(np.array([]))
 
 
 # ── worker pool ──────────────────────────────────────────────────────────────
