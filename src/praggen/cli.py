@@ -302,17 +302,18 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     print(f"trained order-{cfg['order']} speaker on {len(pairs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
     if args.listener_out is not None:
+        listener_out = _output_path(args.listener_out)
         if cfg["listener_type"] == "attribute-nb":
             listener = train_attribute_listener(
                 pairs, schema, k=cfg["listener_k"], vocab=vocab
             )
-            save_listener(listener, args.listener_out)
+            save_listener(listener, listener_out)
         else:
             listener = train_reverse_listener(
                 pairs, cfg["order"], cfg["k"], schema=schema, vocab=vocab
             )
-            model_path = Path(args.listener_out).with_suffix(".model.json")
-            save_listener(listener, args.listener_out, model_path=model_path)
+            model_path = listener_out.with_suffix(".model.json")
+            save_listener(listener, listener_out, model_path=model_path)
         print(f"trained {cfg['listener_type']} listener, saved to {args.listener_out}")
     return 0
 
@@ -324,6 +325,8 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     listener = None if args.listener is None else _load_listener(args.listener, schema)
     if mode == MODE_RECONSTRUCTOR and listener is None:
         raise UsageError("reconstructor mode requires --listener")
+    if listener is not None and listener.vocab.tokens != speaker.vocab.tokens:
+        raise DataError(f"{args.listener}: listener vocabulary differs from the speaker's")
     try:
         policy = DistractorPolicy.parse(cfg["distractor_policy"])
     except ValueError as exc:

@@ -1,6 +1,7 @@
 """Reconstruction listeners: given text, how recoverable is the input?
 
-Two flavors share one contract (``reconstruction_logprob``):
+Two flavors share one contract (``reconstruction_logprob``, and
+``reconstruction_logprobs`` for many outputs of one input):
 
 * :class:`AttributeClassifierListener` factorizes the input into one
   multinomial naive Bayes classifier per schema attribute over the output's
@@ -19,7 +20,7 @@ import math
 from abc import ABC, abstractmethod
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class ListenerModel(ABC):
     @abstractmethod
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
         """Log-probability of recovering ``input`` from ``output``."""
+
+    def reconstruction_logprobs(self, input: object, outputs: Sequence[TokenSequence]) -> list[float]:
+        """``reconstruction_logprob`` of each output, in order."""
+        return [self.reconstruction_logprob(input, o) for o in outputs]
 
 
 def _bag_ids(output: TokenSequence) -> list[int]:
@@ -140,10 +145,17 @@ class AttributeClassifierListener(ListenerModel):
     # ── listener contract ───────────────────────────────────────────────
 
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
+        return self.reconstruction_logprobs(input, [output])[0]
+
+    def reconstruction_logprobs(self, input: object, outputs: Sequence[TokenSequence]) -> list[float]:
+        """One ``log_softmax`` per attribute over every output's class
+        scores; each output's terms add up in schema order from 0.0."""
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("the attribute listener scores meaning representations")
-        scores = self._class_scores(output)
-        total = 0.0
+        if not outputs:
+            return []
+        scores = np.array([self._class_scores(o) for o in outputs])
+        totals = np.zeros(len(outputs))
         for spec in self.schema:
             value = input.get(spec.name)
             cls = value if value is not None else ABSENT_CLASS
@@ -154,8 +166,8 @@ class AttributeClassifierListener(ListenerModel):
                 raise ValueError(
                     f"value {value!r} for attribute {spec.name!r} is not a listener class"
                 ) from None
-            total += float(log_softmax(scores[self._rows[spec.name]])[idx])
-        return total
+            totals += log_softmax(scores[:, self._rows[spec.name]])[:, idx]
+        return totals.tolist()
 
 
 class ReverseSpeakerListener(ListenerModel):
@@ -274,11 +286,15 @@ def save_listener(
 def load_listener(
     path: str | Path, schema: AttributeSchema | None = None
 ) -> ListenerModel:
+    """Load a serialized listener; a naive Bayes listener's own schema must
+    equal ``schema`` when one is given, and a reverse listener needs one."""
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     kind = payload.get("type")
     if kind == "attribute-nb":
         loaded_schema = schema_from_dict(payload["schema"])
+        if schema is not None and loaded_schema != schema:
+            raise ValueError("listener schema differs from the given schema")
         vocab = Vocabulary(payload["vocab"])
         listener = AttributeClassifierListener(loaded_schema, vocab, k=float(payload["k"]))
         for attr, row in payload["priors"].items():

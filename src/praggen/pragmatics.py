@@ -20,17 +20,13 @@ ranking bit for bit.
 
 The engine advances the whole beam per step. Its K live hypotheses are
 scored as one (K, L, V) block of speaker rows, one per hypothesis, input
-and token (L = 1 outside distractor mode), and one function turns that
-block into pragmatic step scores and updated beliefs; the public
-``distractor_step_scores`` and ``belief_update`` call the same function.
-One stable lexsort over the block's finite entries then picks the
-``beam_size`` best expansions, which merge with the finished hypotheses.
-Within one decode, a memo fetches each speaker row once per (context,
-window) key, where the window is the last ``prefix_window`` prefix ids the
-speaker declares its rows depend on (the whole prefix when it is shorter
-than that or the speaker declares none; see ``speaker.prefix_key``), and
-keeps the log-softmaxed row of the true input beside it. A step's keys not
-yet fetched go to the speaker's ``step_logprobs_block`` as one call.
+and token (L = 1 outside distractor mode), gathered in one call from the
+speaker's ``row_source`` for the decode. One function turns that block
+into pragmatic step scores and updated beliefs; the public
+``distractor_step_scores`` and ``belief_update`` call it too. Selection
+takes two stages: ``np.partition`` finds the ``beam_size``-th best score,
+and a stable lexsort orders only the finite entries that reach it, ties
+included. The best of those merge with the finished hypotheses.
 
 Step scores are log-softmax outputs, so they are at most 0 and cumulative
 scores never rise. A decode that returns only its top hypothesis (base
@@ -50,7 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import TokenSequence, log_softmax
-from .speaker import SpeakerModel, prefix_key
+from .listener import ListenerModel
+from .speaker import SpeakerModel
 
 MODE_BASE = "base"
 MODE_RECONSTRUCTOR = "reconstructor"
@@ -246,41 +243,6 @@ class _Hypothesis:
         self.sort_key = (-self.score, -self.base, self.ids)
 
 
-class _RowMemo:
-    """The speaker step rows of one decode, each fetched once.
-
-    A row is keyed by (context index, ``prefix_key`` of the prefix under
-    the speaker's ``prefix_window``). One entry holds the rows of every
-    context for a key, since each hypothesis needs all of them, together
-    with the log-softmaxed row of the true input.
-    """
-
-    def __init__(self, speaker: SpeakerModel, contexts: list[tuple[int, ...]]) -> None:
-        self.speaker = speaker
-        self.contexts = contexts
-        self.window = speaker.prefix_window
-        self.entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def block(
-        self, prefixes: list[tuple[int, ...]]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The K (L, V) row stacks and K normalized true-input rows.
-
-        The step's keys not yet fetched go to the speaker as one block.
-        """
-        keys = [prefix_key(ids, self.window) for ids in prefixes]
-        missing: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for key, ids in zip(keys, prefixes):
-            if key not in self.entries:
-                missing.setdefault(key, ids)
-        if missing:
-            rows = self.speaker.step_logprobs_block(self.contexts, list(missing.values()))
-            base = log_softmax(rows[:, 0])
-            self.entries.update(zip(missing, zip(rows, base)))
-        entries = [self.entries[key] for key in keys]
-        return [e[0] for e in entries], [e[1] for e in entries]
-
-
 def _beam_decode(
     speaker: SpeakerModel,
     input: object,
@@ -296,11 +258,13 @@ def _beam_decode(
     The live hypotheses are kept in lexicographic order of their ids. Each
     step gathers their scores, base scores and beliefs into arrays, scores
     all of them at once as one (K, L, V) block and selects the
-    ``beam_size`` best finite expansions with one stable lexsort on
-    (score, base score); the block's row-major order breaks the remaining
-    ties by ids, because live hypotheses share one length. These are
-    exactly the expansions a per-hypothesis top ``beam_size`` would pool:
-    a candidate among the global best is among its parent's best.
+    ``beam_size`` best finite expansions by a stable lexsort on (score,
+    base score) of the entries at or above the ``beam_size``-th best score
+    (no entry below it can be among the best), kept in the block's
+    row-major order, which breaks the remaining ties by ids because live
+    hypotheses share one length. These are exactly the expansions a
+    per-hypothesis top ``beam_size`` would pool: a candidate among the
+    global best is among its parent's best.
 
     Finished hypotheses stay in the beam and compete on their frozen
     scores. With a beam at least as large as the number of possible
@@ -317,7 +281,7 @@ def _beam_decode(
     pragmatic = distractors is not None
     if pragmatic:
         contexts += [speaker.context_ids(d) for d in distractors]
-    memo = _RowMemo(speaker, contexts)
+    step_rows = speaker.row_source(contexts)
     live: list[_Hypothesis] = [
         _Hypothesis(
             ids=(),
@@ -336,25 +300,25 @@ def _beam_decode(
         top = beam[:n_best]
         if all(h.score < top[-1].score for h in live):
             break
-        rows, base_rows = memo.block([h.ids for h in live])
-        # np.array copies a list of equal rows into one array, as np.stack
-        # does, at a third of the call overhead.
-        base_steps = np.array(base_rows)
+        rows = step_rows([h.ids for h in live])
+        base_steps = log_softmax(rows[:, 0])
         if pragmatic:
+            # np.array copies a list of equal rows into one array, as
+            # np.stack does, at a third of the call overhead.
             beliefs = np.array([h.beliefs for h in live])
-            prag_steps, posterior = _pragmatic_block(
-                np.array(rows), beliefs, config.alpha
-            )
+            prag_steps, posterior = _pragmatic_block(rows, beliefs, config.alpha)
         else:
             prag_steps = base_steps
-        score_keys = np.array([h.score for h in live])[:, None] + prag_steps
-        base_keys = np.array([h.base for h in live])[:, None] + base_steps
+        score_keys = (np.array([h.score for h in live])[:, None] + prag_steps).ravel()
         # A -inf step means the token is impossible here; such expansions
         # can never outrank a finite one and their belief updates are
         # undefined, so they are not expanded.
-        parent, token = np.nonzero(score_keys > -math.inf)
-        scores = score_keys[parent, token]
-        bases = base_keys[parent, token]
+        cut = len(score_keys) - config.beam_size
+        kth = np.partition(score_keys, cut)[cut] if cut > 0 else -math.inf
+        keep = np.flatnonzero(score_keys >= kth if kth > -math.inf else score_keys > kth)
+        parent, token = np.divmod(keep, base_steps.shape[1])
+        scores = score_keys[keep]
+        bases = np.array([h.base for h in live])[parent] + base_steps[parent, token]
         chosen = np.lexsort((-bases, -scores))[: config.beam_size]
         pool = list(finished)
         for i in chosen.tolist():
@@ -409,7 +373,7 @@ def _base_candidates(
 def rerank_reconstructor(
     input: object,
     candidates: Sequence[ScoredCandidate],
-    listener: object,
+    listener: ListenerModel,
     lambda_: float,
 ) -> list[ScoredCandidate]:
     """Re-sort candidates by the blended reconstruction objective.
@@ -420,21 +384,17 @@ def rerank_reconstructor(
     """
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError("lambda_ must lie in [0, 1]")
-    rescored = []
-    for cand in candidates:
-        listener_lp = float(listener.reconstruction_logprob(input, cand.output))
-        combined = lambda_ * listener_lp + (1.0 - lambda_) * cand.base_logprob
-        rescored.append(
-            ScoredCandidate(
-                output=cand.output,
-                base_logprob=cand.base_logprob,
-                listener_logprob=listener_lp,
-                combined_score=combined,
-            )
+    scores = listener.reconstruction_logprobs(input, [c.output for c in candidates])
+    rescored = [
+        ScoredCandidate(
+            output=cand.output,
+            base_logprob=cand.base_logprob,
+            listener_logprob=lp,
+            combined_score=lambda_ * lp + (1.0 - lambda_) * cand.base_logprob,
         )
-    rescored.sort(
-        key=lambda c: (-c.combined_score, -c.base_logprob, c.output.ids)
-    )
+        for cand, lp in zip(candidates, map(float, scores))
+    ]
+    rescored.sort(key=lambda c: (-c.combined_score, -c.base_logprob, c.output.ids))
     return rescored
 
 
@@ -468,7 +428,7 @@ def generate(
     speaker: SpeakerModel,
     input: object,
     config: DecodeConfig,
-    listener: object | None = None,
+    listener: ListenerModel | None = None,
     distractors: Sequence[object] | None = None,
 ) -> ScoredCandidate:
     """Dispatch one decode according to ``config.mode``.

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .core import (
 )
 
 SpeakerInput = "MeaningRepresentation | TokenSequence | tuple[int, ...]"
+RowSource = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
 
 class SpeakerModel(ABC):
@@ -46,17 +48,16 @@ class SpeakerModel(ABC):
     Implementations expose a dense next-token log-probability vector for
     any (input, prefix) pair; the exponentiated vector sums to one.
 
-    ``prefix_window`` declares how many trailing prefix ids a step row
-    depends on, given the context: two prefixes with the same
-    ``prefix_key`` get the same row, which lets a decoder reuse it. A
-    prefix shorter than the window is its own key, since its row also
-    depends on the context. ``None`` (the default) declares that a row may
-    depend on the whole prefix.
+    A decoder gets its step rows from ``row_source(contexts)``, asked once
+    per decode: a function from ``n`` prefixes to their (n, L, V) rows
+    under the decode's ``L`` contexts, equal bit for bit to
+    ``step_logprobs_ctx``. The default asks ``step_logprobs_block`` on
+    every call; a speaker whose rows come from a fixed table can build
+    them once per decode instead.
     """
 
     vocab_size: int
     eos_id: int
-    prefix_window: int | None = None
 
     @abstractmethod
     def context_ids(self, input: object) -> tuple[int, ...]:
@@ -80,16 +81,10 @@ class SpeakerModel(ABC):
             [[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes]
         )
 
-
-def prefix_key(prefix_ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
-    """The part of ``prefix_ids`` a step row depends on, given the context.
-
-    That is the last ``window`` ids, or the whole prefix when it is shorter
-    than the window or ``window`` is ``None``.
-    """
-    if window is None:
-        return prefix_ids
-    return prefix_ids[-window:] if window else ()
+    def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
+        """The step rows of one decode under ``contexts``: a function from
+        prefixes to their (n, L, V) ``step_logprobs_block``."""
+        return partial(self.step_logprobs_block, contexts)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -125,7 +120,6 @@ class NGramSpeaker(SpeakerModel):
         self.copy_bonus = float(copy_bonus)
         self.vocab_size = len(vocab)
         self.eos_id = EOS_ID
-        self.prefix_window = order - 1
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.totals: dict[tuple[int, ...], int] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
@@ -206,18 +200,42 @@ class NGramSpeaker(SpeakerModel):
         """One gather of the window rows, then one copy-bonus add and one
         ``log_softmax`` over the whole block."""
         index, table = self._window_table()
-        span = self.order - 1
-        unseen = len(index)
-        rows = table[
-            [
-                [index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts]
-                for p in prefixes
-            ]
-        ]
+        rows = table[self._history_rows(index, contexts, prefixes)]
         if self.copy_bonus == 0.0:
             return _freeze(rows)
         bonus = np.array([self._bonus_vector(c) for c in contexts])
         return log_softmax(rows + self.copy_bonus * bonus)
+
+    def _history_rows(self, index, contexts, prefixes) -> list[list[int]]:
+        """The table row of each prefix's window under each context."""
+        span, unseen = self.order - 1, len(index)
+        return [
+            [index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts] for p in prefixes
+        ]
+
+    def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
+        """Every row of the decode, normalized once, then gathered per step.
+
+        The (H+1, L, V) stack holds each window row of the table under each
+        context, its copy bonus added and log-normalized as in
+        ``step_logprobs_block``. A prefix of at least ``order - 1`` ids has a
+        window without context ids, so one lookup finds its row under every
+        context (the state-based query of KenLM; Heafield 2011).
+        """
+        index, table = self._window_table()
+        span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
+        if self.copy_bonus == 0.0:
+            stack = np.broadcast_to(table[:, None], (len(table), len(contexts), table.shape[1]))
+        else:
+            bonus = np.array([self._bonus_vector(c) for c in contexts])[:, None]
+            stack = log_softmax(table + self.copy_bonus * bonus).transpose(1, 0, 2).copy()
+
+        def rows(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+            if min(map(len, prefixes)) >= span:
+                return stack[[index.get(p[-span:], unseen) for p in prefixes]]
+            return stack[self._history_rows(index, contexts, prefixes), columns]
+
+        return rows
 
 
 # ── module-level operations ─────────────────────────────────────────────────

@@ -140,6 +140,18 @@ def test_train_reverse_listener(ws, tmp_path):
     assert (tmp_path / "rev.model.json").is_file()
 
 
+@pytest.mark.parametrize("listener_type", ["attribute-nb", "reverse"])
+def test_train_creates_missing_directories(ws, tmp_path, listener_type):
+    speaker, listener = tmp_path / "a" / "b" / "s.json", tmp_path / "c" / "d" / "l.json"
+    rc = run(
+        "train", "--data", ws["train"], "--schema", ws["schema"], "--out", speaker,
+        "--listener-out", listener, "--listener-type", listener_type,
+    )
+    assert rc == 0
+    assert speaker.is_file() and listener.is_file()
+    assert (tmp_path / "c" / "d" / "l.model.json").is_file() == (listener_type == "reverse")
+
+
 def test_train_input_errors(ws, tmp_path):
     missing = tmp_path / "missing.jsonl"
     assert run("train", "--data", missing, "--schema", ws["schema"],
@@ -472,6 +484,34 @@ def test_generate_refuses_an_ensemble_speaker_file(ws, tmp_path, capsys):
                "--schema", ws["schema"], "--out", out) == 3
     assert "unknown speaker serialization type 'ensemble'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_refused(ws, tmp_path, capsys, listener, message):
+    out = tmp_path / "p.jsonl"
+    rc = run(*decode_args(ws, "generate"), "--out", out, "--mode", "reconstructor",
+             "--listener", listener)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_listener_of_another_vocabulary(ws, tmp_path, capsys):
+    payload = json.loads(ws["listener"].read_text(encoding="utf-8"))
+    payload["vocab"][-1] += "x"
+    listener = tmp_path / "listener.json"
+    listener.write_text(json.dumps(payload), encoding="utf-8")
+    assert_refused(ws, tmp_path, capsys, listener,
+                   "listener vocabulary differs from the speaker's")
+
+
+def test_generate_refuses_a_listener_of_another_schema(ws, tmp_path, capsys):
+    payload = json.loads(ws["listener"].read_text(encoding="utf-8"))
+    payload["schema"]["attributes"].reverse()
+    listener = tmp_path / "listener.json"
+    listener.write_text(json.dumps(payload), encoding="utf-8")
+    assert_refused(ws, tmp_path, capsys, listener,
+                   "listener schema differs from the given schema")
 
 
 def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capfd):

@@ -1,12 +1,14 @@
+import copy
 import math
 import random
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
 from praggen.cli import main as cli_main
-from praggen.core import TokenSequence, load_schema, log_softmax
+from praggen.core import BOS_ID, TokenSequence, load_schema
 from praggen.data import delexicalize, read_jsonl
 from praggen.pragmatics import (
     MODE_BASE,
@@ -23,9 +25,8 @@ from praggen.pragmatics import (
     pragmatic_decode_distractor,
     rerank_reconstructor,
     _beam_decode,
-    _RowMemo,
 )
-from praggen.speaker import load_speaker, prefix_key
+from praggen.speaker import load_speaker
 
 from support import (
     TabularListener,
@@ -39,6 +40,7 @@ from support import (
     logsumexp,
     random_speaker,
     reference_beam_decode,
+    reference_ngram_row,
     stationary_tables,
 )
 
@@ -492,6 +494,20 @@ def test_engine_matches_the_reference_on_tabular_speakers():
             assert_same_beam(speaker, inputs[0], config, inputs[1:], n_best)
 
 
+def test_selection_keeps_every_entry_tied_at_the_cut():
+    # At every step one token scores above the rest and three tie below it,
+    # on score and on base, so more entries than the beam holds tie with
+    # its last place.
+    row = [math.log(0.4), math.log(0.2), math.log(0.2), math.log(0.2)]
+    tables = {inp: {p: row for p in all_prefixes(4, 3, 3)} for inp in ((0,), (1,))}
+    speaker = TabularSpeaker(tables, 4, 3)
+    for beam_size in (2, 3):
+        config = DecodeConfig(beam_size=beam_size, max_len=3, alpha=1.0)
+        for n_best in (1, beam_size):
+            assert_same_beam(speaker, (0,), config, n_best=n_best)
+            assert_same_beam(speaker, (0,), config, [(1,)], n_best)
+
+
 ORDERS = (2, 3, 4, 5)
 
 
@@ -518,24 +534,37 @@ def synth_models(tmp_path_factory):
 
 
 def test_row_memo_returns_the_speakers_own_rows(synth_models):
-    # Every stretch of the best base outputs, shortest first as in a decode,
-    # so a prefix shorter than the window meets longer ones ending alike.
+    # The rows of every stretch of the best base outputs and of random
+    # prefixes, whose windows were mostly never seen in training, under the
+    # true input and a distractor, with and without the copy bonus. Each
+    # length is gathered as one block, as in a decode, and all of them as
+    # one mixed block.
     speakers, mrs = synth_models
     mr = mrs[0]
-    for order, speaker in speakers.items():
-        assert speaker.prefix_window == order - 1
-        contexts = [speaker.context_ids(m) for m in (mr, mr.without("eatType"))]
+    rng = random.Random(0)
+    for order, trained in speakers.items():
+        plain = copy.copy(trained)
+        plain.copy_bonus = 0.0
         config = DecodeConfig(beam_size=10, max_len=30)
-        outputs = [c.output.ids for c in beam_search(speaker, mr, config)]
+        outputs = [c.output.ids for c in beam_search(trained, mr, config)]
         stretches = {o[i:j] for o in outputs for j in range(len(o)) for i in range(j + 1)}
+        stretches |= {
+            tuple(rng.choices(range(trained.vocab_size), k=n)) for n in range(8) for _ in range(4)
+        }
         prefixes = sorted(stretches, key=lambda p: (len(p), p))
-        memo = _RowMemo(speaker, contexts)
-        rows, base = memo.block(prefixes)
-        for prefix, stacked, normalized in zip(prefixes, rows, base):
-            for ctx, row in zip(contexts, stacked):
-                assert np.array_equal(row, speaker.step_logprobs_ctx(ctx, prefix))
-            assert np.array_equal(normalized, log_softmax(stacked[0]))
-        assert len(memo.entries) < len(prefixes)
+        blocks = [[p for p in prefixes if len(p) == n] for n in range(len(prefixes[-1]) + 1)]
+        for speaker in (trained, plain):
+            contexts = [speaker.context_ids(m) for m in (mr, mr.without("eatType"))]
+            rows = speaker.row_source(contexts)
+            seen = set()
+            for block in blocks + [prefixes]:
+                for prefix, stacked in zip(block, rows(block)):
+                    for ctx, row in zip(contexts, stacked):
+                        want = speaker.step_logprobs_ctx(ctx, prefix).tobytes()
+                        assert row.tobytes() == want
+                        assert reference_ngram_row(speaker, ctx, prefix).tobytes() == want
+                        seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in speaker.totals)
+            assert seen == {True, False}
 
 
 def test_engine_matches_the_reference_on_trained_speakers(synth_models):
@@ -550,35 +579,56 @@ def test_engine_matches_the_reference_on_trained_speakers(synth_models):
                     assert_same_beam(speaker, mr, config, distractors, n_best)
 
 
-def block_requests(speaker, decode):
-    """The (context, window key) rows ``decode()`` asks the speaker for."""
-    block = speaker.step_logprobs_block
-    requests = []
+def speaker_requests(speaker, decode):
+    """What ``decode()`` asks of the speaker: the prefixes whose rows it
+    gathers through row sources, and how often it calls ``row_source``,
+    ``step_logprobs_block`` and ``step_logprobs_ctx``."""
+    names = ("row_source", "step_logprobs_block", "step_logprobs_ctx")
+    methods = {name: getattr(speaker, name) for name in names}
+    calls = Counter()
+    gathered = []
 
-    def counting_block(contexts, prefixes):
-        requests.extend(
-            (ctx, prefix_key(p, speaker.prefix_window)) for p in prefixes for ctx in contexts
-        )
-        return block(contexts, prefixes)
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return methods[name](*args)
 
-    speaker.step_logprobs_block = counting_block
+        return call
+
+    def counting_source(contexts):
+        calls["row_source"] += 1
+        rows = methods["row_source"](contexts)
+
+        def gather(prefixes):
+            gathered.extend(prefixes)
+            return rows(prefixes)
+
+        return gather
+
+    for name in names[1:]:
+        setattr(speaker, name, counting(name))
+    speaker.row_source = counting_source
     try:
         decode()
     finally:
-        del speaker.step_logprobs_block
-    return requests
+        for name in names:
+            delattr(speaker, name)
+    return gathered, calls
 
 
 @pytest.mark.parametrize("order", [3, 5])
 def test_engine_asks_for_each_windowed_row_once(synth_models, order):
+    # The n-gram row source builds every windowed row once per decode, so
+    # the decode makes no per-step speaker call.
     speakers, mrs = synth_models
     speaker = speakers[order]
     mr = mrs[0]
     config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
-    calls = block_requests(
+    gathered, calls = speaker_requests(
         speaker, partial(_beam_decode, speaker, mr, config, [mr.without("eatType")])
     )
-    assert calls and len(calls) == len(set(calls))
+    assert gathered
+    assert calls == {"row_source": 1}
 
 
 def test_a_settled_top_stops_the_decode_early(synth_models):
@@ -588,7 +638,7 @@ def test_a_settled_top_stops_the_decode_early(synth_models):
     config = DecodeConfig(beam_size=10, max_len=30, alpha=1.0)
     for distractors in (None, [mr.without("eatType")]):
         full, settled = (
-            block_requests(speaker, partial(_beam_decode, speaker, mr, config, distractors, n))
+            speaker_requests(speaker, partial(_beam_decode, speaker, mr, config, distractors, n))[0]
             for n in (config.beam_size, 1)
         )
         assert len(settled) < len(full)
