@@ -1,7 +1,6 @@
 """Reconstruction listeners: given text, how recoverable is the input?
 
-Two flavors share one contract (``reconstruction_logprob``, and
-``reconstruction_logprobs`` for many outputs of one input):
+Two flavors share one contract (``reconstruction_logprob``):
 
 * :class:`AttributeClassifierListener` factorizes the input into one
   multinomial naive Bayes classifier per schema attribute over the output's
@@ -20,7 +19,7 @@ import math
 from abc import ABC, abstractmethod
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,10 +50,6 @@ class ListenerModel(ABC):
     @abstractmethod
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
         """Log-probability of recovering ``input`` from ``output``."""
-
-    def reconstruction_logprobs(self, input: object, outputs: Sequence[TokenSequence]) -> list[float]:
-        """``reconstruction_logprob`` of each output, in order."""
-        return [self.reconstruction_logprob(input, o) for o in outputs]
 
 
 def _bag_ids(output: TokenSequence) -> list[int]:
@@ -89,6 +84,8 @@ class AttributeClassifierListener(ListenerModel):
         # Each attribute's rows in the tables, which stack all classes.
         ends = accumulate(len(c) for c in self.classes.values())
         self._rows = {n: slice(e - len(c), e) for (n, c), e in zip(self.classes.items(), ends)}
+        self._starts = np.array([r.start for r in self._rows.values()])
+        self._sizes = np.array([len(c) for c in self.classes.values()])
         self._log_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # ── training ────────────────────────────────────────────────────────
@@ -145,29 +142,27 @@ class AttributeClassifierListener(ListenerModel):
     # ── listener contract ───────────────────────────────────────────────
 
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
-        return self.reconstruction_logprobs(input, [output])[0]
-
-    def reconstruction_logprobs(self, input: object, outputs: Sequence[TokenSequence]) -> list[float]:
-        """One ``log_softmax`` per attribute over every output's class
-        scores; each output's terms add up in schema order from 0.0."""
+        """Each attribute's ``log_softmax`` entry for the input's class, added
+        in schema order from 0.0; only those entries are formed, bit for bit."""
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("the attribute listener scores meaning representations")
-        if not outputs:
-            return []
-        scores = np.array([self._class_scores(o) for o in outputs])
-        totals = np.zeros(len(outputs))
-        for spec in self.schema:
+        scores = self._class_scores(output)
+        tops = np.maximum.reduceat(scores, self._starts)
+        shifted = np.exp(scores - np.repeat(tops, self._sizes))
+        values = scores.tolist()
+        total = 0.0
+        for spec, top in zip(self.schema, tops.tolist()):
             value = input.get(spec.name)
             cls = value if value is not None else ABSENT_CLASS
-            classes = self.classes[spec.name]
             try:
-                idx = classes.index(cls)
+                idx = self.classes[spec.name].index(cls)
             except ValueError:
                 raise ValueError(
                     f"value {value!r} for attribute {spec.name!r} is not a listener class"
                 ) from None
-            totals += log_softmax(scores[:, self._rows[spec.name]])[:, idx]
-        return totals.tolist()
+            rows = self._rows[spec.name]
+            total += values[rows.start + idx] - (top + math.log(shifted[rows].sum()))
+        return total
 
 
 class ReverseSpeakerListener(ListenerModel):
@@ -286,8 +281,7 @@ def save_listener(
 def load_listener(
     path: str | Path, schema: AttributeSchema | None = None
 ) -> ListenerModel:
-    """Load a serialized listener; a naive Bayes listener's own schema must
-    equal ``schema`` when one is given, and a reverse listener needs one."""
+    """Load a serialized listener; an NB listener's schema must equal ``schema`` if given."""
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     kind = payload.get("type")

@@ -20,13 +20,12 @@ ranking bit for bit.
 
 The engine advances the whole beam per step. Its K live hypotheses are
 scored as one (K, L, V) block of speaker rows, one per hypothesis, input
-and token (L = 1 outside distractor mode), gathered in one call from the
-speaker's ``row_source`` for the decode. One function turns that block
-into pragmatic step scores and updated beliefs; the public
-``distractor_step_scores`` and ``belief_update`` call it too. Selection
-takes two stages: ``np.partition`` finds the ``beam_size``-th best score,
-and a stable lexsort orders only the finite entries that reach it, ties
-included. The best of those merge with the finished hypotheses.
+and token (L = 1 outside distractor mode), gathered from the speaker's
+``row_source`` for the decode. One function turns that block into pragmatic
+step scores and updated beliefs, as the public ``distractor_step_scores``
+and ``belief_update`` do. ``np.partition`` finds the ``beam_size``-th best
+score, and a stable lexsort orders only the finite entries that reach it,
+ties included; the best merge with the finished hypotheses.
 
 Step scores are log-softmax outputs, so they are at most 0 and cumulative
 scores never rise. A decode that returns only its top hypothesis (base
@@ -46,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import TokenSequence, log_softmax
-from .listener import ListenerModel
 from .speaker import SpeakerModel
 
 MODE_BASE = "base"
@@ -259,12 +257,11 @@ def _beam_decode(
     step gathers their scores, base scores and beliefs into arrays, scores
     all of them at once as one (K, L, V) block and selects the
     ``beam_size`` best finite expansions by a stable lexsort on (score,
-    base score) of the entries at or above the ``beam_size``-th best score
-    (no entry below it can be among the best), kept in the block's
-    row-major order, which breaks the remaining ties by ids because live
-    hypotheses share one length. These are exactly the expansions a
-    per-hypothesis top ``beam_size`` would pool: a candidate among the
-    global best is among its parent's best.
+    base score) of only the entries at or above the ``beam_size``-th best
+    score; the block's row-major order breaks the remaining ties by ids,
+    because live hypotheses share one length. These are exactly the
+    expansions a per-hypothesis top ``beam_size`` would pool: a candidate
+    among the global best is among its parent's best.
 
     Finished hypotheses stay in the beam and compete on their frozen
     scores. With a beam at least as large as the number of possible
@@ -373,7 +370,7 @@ def _base_candidates(
 def rerank_reconstructor(
     input: object,
     candidates: Sequence[ScoredCandidate],
-    listener: ListenerModel,
+    listener: object,
     lambda_: float,
 ) -> list[ScoredCandidate]:
     """Re-sort candidates by the blended reconstruction objective.
@@ -384,17 +381,21 @@ def rerank_reconstructor(
     """
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError("lambda_ must lie in [0, 1]")
-    scores = listener.reconstruction_logprobs(input, [c.output for c in candidates])
-    rescored = [
-        ScoredCandidate(
-            output=cand.output,
-            base_logprob=cand.base_logprob,
-            listener_logprob=lp,
-            combined_score=lambda_ * lp + (1.0 - lambda_) * cand.base_logprob,
+    rescored = []
+    for cand in candidates:
+        listener_lp = float(listener.reconstruction_logprob(input, cand.output))
+        combined = lambda_ * listener_lp + (1.0 - lambda_) * cand.base_logprob
+        rescored.append(
+            ScoredCandidate(
+                output=cand.output,
+                base_logprob=cand.base_logprob,
+                listener_logprob=listener_lp,
+                combined_score=combined,
+            )
         )
-        for cand, lp in zip(candidates, map(float, scores))
-    ]
-    rescored.sort(key=lambda c: (-c.combined_score, -c.base_logprob, c.output.ids))
+    rescored.sort(
+        key=lambda c: (-c.combined_score, -c.base_logprob, c.output.ids)
+    )
     return rescored
 
 
@@ -428,7 +429,7 @@ def generate(
     speaker: SpeakerModel,
     input: object,
     config: DecodeConfig,
-    listener: ListenerModel | None = None,
+    listener: object | None = None,
     distractors: Sequence[object] | None = None,
 ) -> ScoredCandidate:
     """Dispatch one decode according to ``config.mode``.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -41,6 +41,10 @@ from .core import (
 SpeakerInput = "MeaningRepresentation | TokenSequence | tuple[int, ...]"
 RowSource = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
+# NGramSpeaker.row_source normalizes a stack of up to this many entries whole,
+# at 10-20 ns an entry; a larger one, row by row at 15-30 us a call.
+EAGER_STACK_SIZE = 1 << 16
+
 
 class SpeakerModel(ABC):
     """Contract shared by every base speaker.
@@ -53,7 +57,7 @@ class SpeakerModel(ABC):
     under the decode's ``L`` contexts, equal bit for bit to
     ``step_logprobs_ctx``. The default asks ``step_logprobs_block`` on
     every call; a speaker whose rows come from a fixed table can build
-    them once per decode instead.
+    each row once per decode instead.
     """
 
     vocab_size: int
@@ -84,7 +88,7 @@ class SpeakerModel(ABC):
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
         """The step rows of one decode under ``contexts``: a function from
         prefixes to their (n, L, V) ``step_logprobs_block``."""
-        return partial(self.step_logprobs_block, contexts)
+        return lambda prefixes: self.step_logprobs_block(contexts, prefixes)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -189,9 +193,7 @@ class NGramSpeaker(SpeakerModel):
         self._bonus_cache[ctx] = vec
         return vec
 
-    def step_logprobs_ctx(
-        self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]
-    ) -> np.ndarray:
+    def step_logprobs_ctx(self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]) -> np.ndarray:
         return self.step_logprobs_block((ctx,), (prefix_ids,))[0, 0]
 
     def step_logprobs_block(
@@ -209,31 +211,37 @@ class NGramSpeaker(SpeakerModel):
     def _history_rows(self, index, contexts, prefixes) -> list[list[int]]:
         """The table row of each prefix's window under each context."""
         span, unseen = self.order - 1, len(index)
-        return [
-            [index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts] for p in prefixes
-        ]
+        return [[index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts] for p in prefixes]
 
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
-        """Every row of the decode, normalized once, then gathered per step.
-
-        The (H+1, L, V) stack holds each window row of the table under each
-        context, its copy bonus added and log-normalized as in
-        ``step_logprobs_block``. A prefix of at least ``order - 1`` ids has a
-        window without context ids, so one lookup finds its row under every
-        context (the state-based query of KenLM; Heafield 2011).
-        """
+        """Gather each step's rows from one (H+1, L, V) stack per decode: each
+        table row under each context, copy bonus added and log-normalized as
+        in ``step_logprobs_block``, up front or, past ``EAGER_STACK_SIZE``
+        entries, on its first gather. Once a prefix holds ``order - 1`` ids
+        one lookup finds its row under every context (the state-based query
+        of KenLM; Heafield 2011)."""
         index, table = self._window_table()
         span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
+        shape = (len(table), len(contexts), table.shape[1])
+        bonus = self.copy_bonus * np.array([self._bonus_vector(c) for c in contexts])
+        done = None
         if self.copy_bonus == 0.0:
-            stack = np.broadcast_to(table[:, None], (len(table), len(contexts), table.shape[1]))
+            stack = np.broadcast_to(table[:, None], shape)
+        elif math.prod(shape) <= EAGER_STACK_SIZE:
+            stack = log_softmax(table[:, None] + bonus)
         else:
-            bonus = np.array([self._bonus_vector(c) for c in contexts])[:, None]
-            stack = log_softmax(table + self.copy_bonus * bonus).transpose(1, 0, 2).copy()
+            stack, done = np.empty(shape), set()
 
         def rows(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
             if min(map(len, prefixes)) >= span:
-                return stack[[index.get(p[-span:], unseen) for p in prefixes]]
-            return stack[self._history_rows(index, contexts, prefixes), columns]
+                at = visited = [index.get(p[-span:], unseen) for p in prefixes]
+            else:
+                visited = self._history_rows(index, contexts, prefixes)
+                at, visited = (visited, columns), chain.from_iterable(visited)
+            if done is not None and (fresh := list(set(visited) - done)):
+                stack[fresh] = log_softmax(table[fresh][:, None] + bonus)
+                done.update(fresh)
+            return stack[at]
 
         return rows
 

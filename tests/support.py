@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from praggen.core import BOS_ID, EOS_ID, SEP_ID, DegenerateDistributionError, log_softmax
-from praggen.listener import ABSENT_CLASS, ListenerModel
+from praggen.listener import ABSENT_CLASS
 from praggen.speaker import SpeakerModel
 
 
@@ -42,7 +42,7 @@ class TabularSpeaker(SpeakerModel):
         return np.array(self.tables[tuple(ctx)][tuple(prefix_ids)])
 
 
-class TabularListener(ListenerModel):
+class TabularListener:
     """Listener with one pinned score per (input, output) pair."""
 
     def __init__(self, scores: dict) -> None:

@@ -209,22 +209,6 @@ def test_scores_match_the_per_attribute_reference_bit_for_bit():
         assert got.hex() == want.hex()
 
 
-def test_block_scores_match_the_per_attribute_reference_bit_for_bit():
-    # Each MR against a block of references of every bag length, scored in
-    # one call as a reranked beam is.
-    grammar = default_grammar()
-    records = [delexicalize(r, grammar.schema) for r in generate_corpus(grammar, 200, 19)]
-    vocab = build_corpus_vocabulary(records, grammar.schema)
-    pairs = [(r.mr, tokenize(r.reference, vocab)) for r in records]
-    listener = train_attribute_listener(pairs, grammar.schema, k=0.5, vocab=vocab)
-    outputs = [TokenSequence(())] + [output for _, output in pairs[:12]]
-    for mr, _ in pairs[:20]:
-        got = listener.reconstruction_logprobs(mr, outputs)
-        want = [reference_reconstruction_logprob(listener, mr, o) for o in outputs]
-        assert [g.hex() for g in got] == [w.hex() for w in want]
-        assert listener.reconstruction_logprobs(mr, []) == []
-
-
 def test_reconstruction_scores_are_nonpositive():
     schema, vocab, pairs, listener = toy_setup()
     for mr, output in pairs:

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from praggen.pragmatics import (
     rerank_reconstructor,
     _beam_decode,
 )
+import praggen.speaker as speaker_module
 from praggen.speaker import load_speaker
 
 from support import (
@@ -494,20 +496,6 @@ def test_engine_matches_the_reference_on_tabular_speakers():
             assert_same_beam(speaker, inputs[0], config, inputs[1:], n_best)
 
 
-def test_selection_keeps_every_entry_tied_at_the_cut():
-    # At every step one token scores above the rest and three tie below it,
-    # on score and on base, so more entries than the beam holds tie with
-    # its last place.
-    row = [math.log(0.4), math.log(0.2), math.log(0.2), math.log(0.2)]
-    tables = {inp: {p: row for p in all_prefixes(4, 3, 3)} for inp in ((0,), (1,))}
-    speaker = TabularSpeaker(tables, 4, 3)
-    for beam_size in (2, 3):
-        config = DecodeConfig(beam_size=beam_size, max_len=3, alpha=1.0)
-        for n_best in (1, beam_size):
-            assert_same_beam(speaker, (0,), config, n_best=n_best)
-            assert_same_beam(speaker, (0,), config, [(1,)], n_best)
-
-
 ORDERS = (2, 3, 4, 5)
 
 
@@ -533,12 +521,13 @@ def synth_models(tmp_path_factory):
     return speakers, [r.mr for r in records]
 
 
-def test_row_memo_returns_the_speakers_own_rows(synth_models):
+def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
     # The rows of every stretch of the best base outputs and of random
     # prefixes, whose windows were mostly never seen in training, under the
-    # true input and a distractor, with and without the copy bonus. Each
+    # true input and a distractor, with and without the copy bonus, from a
+    # stack normalized up front and from one normalized row by row. Each
     # length is gathered as one block, as in a decode, and all of them as
-    # one mixed block.
+    # one mixed block, which only reuses rows normalized before.
     speakers, mrs = synth_models
     mr = mrs[0]
     rng = random.Random(0)
@@ -553,7 +542,8 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models):
         }
         prefixes = sorted(stretches, key=lambda p: (len(p), p))
         blocks = [[p for p in prefixes if len(p) == n] for n in range(len(prefixes[-1]) + 1)]
-        for speaker in (trained, plain):
+        for speaker, eager_size in product((trained, plain), (math.inf, 0)):
+            monkeypatch.setattr(speaker_module, "EAGER_STACK_SIZE", eager_size)
             contexts = [speaker.context_ids(m) for m in (mr, mr.without("eatType"))]
             rows = speaker.row_source(contexts)
             seen = set()
