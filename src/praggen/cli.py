@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +32,7 @@ from .data import (
     delexicalize,
     generate_corpus,
     has_unmapped_placeholder,
+    iter_jsonl,
     load_grammar,
     read_jsonl,
     relexicalize,
@@ -141,6 +143,8 @@ def _validate_settings(cfg: dict) -> None:
         _coerce(cfg, key, int)
     for key in ("omission_rate", "k", "copy_bonus", "listener_k", "lambda_", "alpha"):
         _coerce(cfg, key, float)
+        if not math.isfinite(cfg[key]):
+            raise UsageError(f"setting {key!r} must be finite")
     if cfg["workers"] < 1:
         raise UsageError("workers must be >= 1")
     for key in ("train_size", "dev_size", "test_size"):
@@ -318,6 +322,12 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
+def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
+    """The decode settings of ``cfg``, which ``_validate_settings`` checked."""
+    keys = ("beam_size", "max_len", "lambda_", "alpha")
+    return DecodeConfig(mode=mode, **{key: cfg[key] for key in keys})
+
+
 def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     schema = _load_schema(args.schema)
     speaker = _load_speaker(args.speaker, schema)
@@ -335,16 +345,7 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
         raise UsageError(f"mask-single names unknown attribute {policy.attribute!r}")
     if mode != MODE_DISTRACTOR and policy.kind != POLICY_NONE:
         raise UsageError("--distractor-policy only applies to --mode distractor")
-    try:
-        config = DecodeConfig(
-            beam_size=cfg["beam_size"],
-            max_len=cfg["max_len"],
-            lambda_=cfg["lambda_"],
-            alpha=cfg["alpha"],
-            mode=mode,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _decode_config(cfg, mode)
 
     records = _read_records(args.data, schema)
     delexed = [delexicalize(r, schema) for r in records]
@@ -388,20 +389,15 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
 def _read_predictions(path: str) -> dict[str, dict]:
     _require_file(path, "predictions file")
     out: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+    try:
+        for lineno, payload in iter_jsonl(path):
             if not isinstance(payload, dict) or "id" not in payload or "output" not in payload:
                 raise DataError(f"{path}: line {lineno}: prediction needs id and output")
             if payload["id"] in out:
                 raise DataError(f"{path}: line {lineno}: duplicate id {payload['id']!r}")
             out[payload["id"]] = payload
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return out
 
 
@@ -445,16 +441,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
     if not records:
         raise UsageError("no records to ablate over")
     delexed = [delexicalize(r, schema) for r in records]
-    try:
-        config = DecodeConfig(
-            beam_size=cfg["beam_size"],
-            max_len=cfg["max_len"],
-            lambda_=cfg["lambda_"],
-            alpha=cfg["alpha"],
-            mode=MODE_DISTRACTOR,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _decode_config(cfg, MODE_DISTRACTOR)
     matrix = ablation_matrix(
         speaker, delexed, schema, speaker.vocab, config, workers=cfg["workers"]
     )

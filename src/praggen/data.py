@@ -20,7 +20,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     KIND_BOOLEAN,
@@ -457,10 +457,9 @@ def write_jsonl(records: Iterable[CorpusRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[CorpusRecord]:
-    """Load records, validating shape (and the MR against ``schema`` if given)."""
-    records = []
-    seen: set[str] = set()
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSONL file, parsed, with its line number; a
+    line that does not parse raises ``ValueError`` naming its number."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -470,31 +469,39 @@ def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(payload, dict) or set(payload) != _RECORD_KEYS:
-                raise ValueError(
-                    f"line {lineno}: record must have exactly the keys "
-                    f"{sorted(_RECORD_KEYS)}"
-                )
-            rec_id = payload["id"]
-            if not isinstance(rec_id, str) or not rec_id:
-                raise ValueError(f"line {lineno}: id must be a non-empty string")
-            if rec_id in seen:
-                raise ValueError(f"line {lineno}: duplicate record id {rec_id!r}")
-            seen.add(rec_id)
-            mr = MeaningRepresentation(payload["mr"])
-            if schema is not None:
-                try:
-                    validate_mr(mr, schema)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            records.append(
-                CorpusRecord(
-                    id=rec_id,
-                    mr=mr,
-                    reference=payload["ref"],
-                    delex_map=dict(payload["delex"]),
-                )
+            yield lineno, payload
+
+
+def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[CorpusRecord]:
+    """Load records, validating shape (and the MR against ``schema`` if given)."""
+    records = []
+    seen: set[str] = set()
+    for lineno, payload in iter_jsonl(path):
+        if not isinstance(payload, dict) or set(payload) != _RECORD_KEYS:
+            raise ValueError(
+                f"line {lineno}: record must have exactly the keys "
+                f"{sorted(_RECORD_KEYS)}"
             )
+        rec_id = payload["id"]
+        if not isinstance(rec_id, str) or not rec_id:
+            raise ValueError(f"line {lineno}: id must be a non-empty string")
+        if rec_id in seen:
+            raise ValueError(f"line {lineno}: duplicate record id {rec_id!r}")
+        seen.add(rec_id)
+        mr = MeaningRepresentation(payload["mr"])
+        if schema is not None:
+            try:
+                validate_mr(mr, schema)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        records.append(
+            CorpusRecord(
+                id=rec_id,
+                mr=mr,
+                reference=payload["ref"],
+                delex_map=dict(payload["delex"]),
+            )
+        )
     return records
 
 

@@ -67,8 +67,8 @@ class AttributeClassifierListener(ListenerModel):
     def __init__(
         self, schema: AttributeSchema, vocab: Vocabulary, k: float = 0.5
     ) -> None:
-        if k <= 0:
-            raise ValueError("smoothing constant k must be positive")
+        if not 0.0 < k < math.inf:
+            raise ValueError("smoothing constant k must be finite and positive")
         self.schema = schema
         self.vocab = vocab
         self.k = float(k)

@@ -82,8 +82,8 @@ class DecodeConfig:
             raise ValueError("max_len must be at least 1")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError("lambda_ must lie in [0, 1]")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -176,7 +176,7 @@ def _support_rows(
     if prefix.terminated:
         raise ValueError("prefix is terminated; no further tokens can be scored")
     contexts = [speaker.context_ids(s) for s in belief.support]
-    rows = speaker.step_logprobs_block(contexts, [prefix.ids])
+    rows = np.array([[speaker.step_logprobs_ctx(c, prefix.ids) for c in contexts]])
     return rows, np.array([belief.log_beliefs])
 
 
@@ -216,8 +216,8 @@ def distractor_step_scores(
     true input would hold after emitting it, plus the base speaker's step
     score, then renormalized over the vocabulary.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and non-negative")
     if not 0 <= input_index < len(belief.support):
         raise ValueError("input_index is outside the belief support")
     rows, beliefs = _support_rows(speaker, belief, prefix)

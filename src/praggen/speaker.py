@@ -38,7 +38,6 @@ from .core import (
     log_softmax,
 )
 
-SpeakerInput = "MeaningRepresentation | TokenSequence | tuple[int, ...]"
 RowSource = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
 # NGramSpeaker.row_source normalizes a stack of up to this many entries whole,
@@ -49,15 +48,16 @@ EAGER_STACK_SIZE = 1 << 16
 class SpeakerModel(ABC):
     """Contract shared by every base speaker.
 
-    Implementations expose a dense next-token log-probability vector for
-    any (input, prefix) pair; the exponentiated vector sums to one.
+    An implementation resolves an input into its context ids and gives
+    ``step_logprobs_ctx``, a dense next-token log-probability row for any
+    (context, prefix) pair; the exponentiated row sums to one.
 
     A decoder gets its step rows from ``row_source(contexts)``, asked once
     per decode: a function from ``n`` prefixes to their (n, L, V) rows
     under the decode's ``L`` contexts, equal bit for bit to
-    ``step_logprobs_ctx``. The default asks ``step_logprobs_block`` on
-    every call; a speaker whose rows come from a fixed table can build
-    each row once per decode instead.
+    ``step_logprobs_ctx``. The default stacks ``step_logprobs_ctx`` calls;
+    a speaker whose rows come from a fixed table can build each row once
+    per decode instead.
     """
 
     vocab_size: int
@@ -73,27 +73,13 @@ class SpeakerModel(ABC):
     ) -> np.ndarray:
         """Log-probability vector over the vocabulary for the next token."""
 
-    def step_logprobs_block(
-        self, contexts: Sequence[tuple[int, ...]], prefixes: Sequence[tuple[int, ...]]
-    ) -> np.ndarray:
-        """The (n, L, V) rows of ``n`` prefixes under ``L`` contexts.
-
-        Row ``[i, j]`` equals ``step_logprobs_ctx(contexts[j], prefixes[i])``
-        bit for bit; this default stacks those calls.
-        """
-        return np.array(
-            [[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes]
-        )
-
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
         """The step rows of one decode under ``contexts``: a function from
-        prefixes to their (n, L, V) ``step_logprobs_block``."""
-        return lambda prefixes: self.step_logprobs_block(contexts, prefixes)
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+        ``n`` prefixes to their (n, L, V) rows, whose row ``[i, j]`` is
+        ``step_logprobs_ctx(contexts[j], prefixes[i])``."""
+        return lambda prefixes: np.array(
+            [[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes]
+        )
 
 
 class NGramSpeaker(SpeakerModel):
@@ -113,10 +99,10 @@ class NGramSpeaker(SpeakerModel):
     ) -> None:
         if order < 2:
             raise ValueError("n-gram order must be at least 2")
-        if k <= 0:
-            raise ValueError("smoothing constant k must be positive")
-        if copy_bonus < 0:
-            raise ValueError("copy_bonus must be non-negative")
+        if not 0.0 < k < math.inf:
+            raise ValueError("smoothing constant k must be finite and positive")
+        if not 0.0 <= copy_bonus < math.inf:
+            raise ValueError("copy_bonus must be finite and non-negative")
         self.order = order
         self.k = float(k)
         self.vocab = vocab
@@ -127,7 +113,6 @@ class NGramSpeaker(SpeakerModel):
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.totals: dict[tuple[int, ...], int] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
-        self._bonus_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     # ── training ────────────────────────────────────────────────────────
 
@@ -178,35 +163,24 @@ class NGramSpeaker(SpeakerModel):
                 table[i] = math.log(self.k) - denom
                 for tok, cnt in self.counts[history].items():
                     table[i, tok] = math.log(cnt + self.k) - denom
-            self._table = (index, _freeze(table))
+            table.setflags(write=False)
+            self._table = (index, table)
         return self._table
 
-    def _bonus_vector(self, ctx: tuple[int, ...]) -> np.ndarray:
-        cached = self._bonus_cache.get(ctx)
-        if cached is not None:
-            return cached
-        feat = np.zeros(self.vocab_size)
-        for tok in ctx:
-            if tok != SEP_ID:
-                feat[tok] = 1.0
-        vec = _freeze(feat)
-        self._bonus_cache[ctx] = vec
-        return vec
+    def _bonus(self, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """The (L, V) copy bonus: ``copy_bonus`` on each context's tokens,
+        SEP excepted, and zero elsewhere."""
+        bonus = np.zeros((len(contexts), self.vocab_size))
+        for j, ctx in enumerate(contexts):
+            bonus[j, [tok for tok in ctx if tok != SEP_ID]] = self.copy_bonus
+        return bonus
 
     def step_logprobs_ctx(self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]) -> np.ndarray:
-        return self.step_logprobs_block((ctx,), (prefix_ids,))[0, 0]
-
-    def step_logprobs_block(
-        self, contexts: Sequence[tuple[int, ...]], prefixes: Sequence[tuple[int, ...]]
-    ) -> np.ndarray:
-        """One gather of the window rows, then one copy-bonus add and one
-        ``log_softmax`` over the whole block."""
         index, table = self._window_table()
-        rows = table[self._history_rows(index, contexts, prefixes)]
+        row = table[self._history_rows(index, (ctx,), (prefix_ids,))[0][0]]
         if self.copy_bonus == 0.0:
-            return _freeze(rows)
-        bonus = np.array([self._bonus_vector(c) for c in contexts])
-        return log_softmax(rows + self.copy_bonus * bonus)
+            return row
+        return log_softmax(row + self._bonus((ctx,))[0])
 
     def _history_rows(self, index, contexts, prefixes) -> list[list[int]]:
         """The table row of each prefix's window under each context."""
@@ -216,14 +190,14 @@ class NGramSpeaker(SpeakerModel):
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
         """Gather each step's rows from one (H+1, L, V) stack per decode: each
         table row under each context, copy bonus added and log-normalized as
-        in ``step_logprobs_block``, up front or, past ``EAGER_STACK_SIZE``
+        in ``step_logprobs_ctx``, up front or, past ``EAGER_STACK_SIZE``
         entries, on its first gather. Once a prefix holds ``order - 1`` ids
         one lookup finds its row under every context (the state-based query
         of KenLM; Heafield 2011)."""
         index, table = self._window_table()
         span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
         shape = (len(table), len(contexts), table.shape[1])
-        bonus = self.copy_bonus * np.array([self._bonus_vector(c) for c in contexts])
+        bonus = self._bonus(contexts)
         done = None
         if self.copy_bonus == 0.0:
             stack = np.broadcast_to(table[:, None], shape)

@@ -115,6 +115,22 @@ def test_synth_validates_settings(tmp_path):
     assert run("synth", "--out", tmp_path, "--grammar", bad) == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--k"), ("train", "--listener-k"), ("train", "--copy-bonus"),
+    ("generate", "--alpha"),
+])
+def test_non_finite_float_settings_are_usage_errors(ws, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out.json"
+    args = {
+        "train": ["--data", ws["train"], "--listener-out", tmp_path / "listener.json"],
+        "generate": ["--data", ws["dev"], "--speaker", ws["speaker"], "--mode", "distractor"],
+    }[command]
+    assert run(command, *args, "--schema", ws["schema"], "--out", out, flag, value) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "listener.json").exists()
+
+
 # ── train ────────────────────────────────────────────────────────────────────
 
 

@@ -223,8 +223,9 @@ def test_listener_validation_errors():
         )
     with pytest.raises(TypeError):
         listener.reconstruction_logprob((1, 2), tokenize("spot", vocab))
-    with pytest.raises(ValueError):
-        AttributeClassifierListener(schema, vocab, k=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AttributeClassifierListener(schema, vocab, k=bad)
     with pytest.raises(ValueError, match="empty"):
         train_attribute_listener([], schema, k=0.5, vocab=vocab)
 

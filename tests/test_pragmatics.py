@@ -81,8 +81,9 @@ def test_decode_config_validation():
         DecodeConfig(lambda_=-0.1)
     with pytest.raises(ValueError, match="lambda_"):
         DecodeConfig(lambda_=1.1)
-    with pytest.raises(ValueError, match="alpha"):
-        DecodeConfig(alpha=-1.0)
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            DecodeConfig(alpha=alpha)
     with pytest.raises(ValueError, match="mode"):
         DecodeConfig(mode="oracle")
 
@@ -192,8 +193,9 @@ def test_belief_update_rejects_terminated_prefix():
 def test_step_score_validation():
     speaker = two_sided_speaker(34)
     belief = BeliefState.uniform([(0,), (1,)])
-    with pytest.raises(ValueError, match="alpha"):
-        distractor_step_scores(speaker, belief, 0, seq(), -0.5)
+    for alpha in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            distractor_step_scores(speaker, belief, 0, seq(), alpha)
     with pytest.raises(ValueError, match="input_index"):
         distractor_step_scores(speaker, belief, 2, seq(), 1.0)
     with pytest.raises(ValueError, match="terminated"):
@@ -571,9 +573,9 @@ def test_engine_matches_the_reference_on_trained_speakers(synth_models):
 
 def speaker_requests(speaker, decode):
     """What ``decode()`` asks of the speaker: the prefixes whose rows it
-    gathers through row sources, and how often it calls ``row_source``,
-    ``step_logprobs_block`` and ``step_logprobs_ctx``."""
-    names = ("row_source", "step_logprobs_block", "step_logprobs_ctx")
+    gathers through row sources, and how often it calls ``row_source`` and
+    ``step_logprobs_ctx``."""
+    names = ("row_source", "step_logprobs_ctx")
     methods = {name: getattr(speaker, name) for name in names}
     calls = Counter()
     gathered = []

@@ -126,6 +126,11 @@ def test_training_validation_errors():
         NGramSpeaker(order=2, k=0.0, vocab=vocab)
     with pytest.raises(ValueError):
         NGramSpeaker(order=2, k=0.1, vocab=vocab, copy_bonus=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NGramSpeaker(order=2, k=bad, vocab=vocab)
+        with pytest.raises(ValueError, match="finite"):
+            NGramSpeaker(order=2, k=0.1, vocab=vocab, copy_bonus=bad)
 
 
 # ── context resolution ───────────────────────────────────────────────────────
@@ -247,7 +252,7 @@ def test_copy_bonus_zero_is_the_plain_model():
     )
 
 
-def test_copy_bonus_vectors_still_normalize():
+def test_copy_bonus_rows_still_normalize():
     model, vocab, a, b = two_pair_model(copy_bonus=2.0)
     for prefix in (TokenSequence([]), TokenSequence([a]), TokenSequence([b, a])):
         vec = next_token_logprobs(model, (a, b), prefix)
@@ -302,7 +307,7 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus):
     prefixes = [()] + [
         tuple(rng.choices(words, k=n)) for n in range(1, 7) for _ in range(4)
     ] + [o.ids[:n] for _, o in pairs[:6] for n in range(len(o.ids) + 1)]
-    block = model.step_logprobs_block(contexts, prefixes)
+    block = model.row_source(contexts)(prefixes)
     assert block.shape == (len(prefixes), len(contexts), len(vocab))
     seen = set()
     for prefix, rows in zip(prefixes, block):
