@@ -15,7 +15,6 @@ from .core import (
     TokenSequence,
     UnbuildableContextError,
     Vocabulary,
-    default_schema,
     detokenize,
     linearize_mr,
     load_schema,
@@ -29,7 +28,6 @@ from .data import (
     default_grammar,
     delexicalize,
     generate_corpus,
-    parse_e2e_csv,
     read_jsonl,
     relexicalize,
     write_jsonl,
@@ -110,7 +108,6 @@ __all__ = [
     "build_corpus_vocabulary",
     "coverage_ratio",
     "default_grammar",
-    "default_schema",
     "delexicalize",
     "detokenize",
     "distractor_step_scores",
@@ -123,7 +120,6 @@ __all__ = [
     "mask_all_distractor",
     "mask_single_distractor",
     "next_token_logprobs",
-    "parse_e2e_csv",
     "pragmatic_decode_distractor",
     "read_jsonl",
     "relexicalize",

@@ -201,12 +201,13 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _load_schema(path: str) -> AttributeSchema:
-    _require_file(path, "schema file")
+def _load(what: str, path: str, load: Callable, *args):
+    """``load(path, *args)``; the loaders only parse, so each error caught means a bad file."""
+    _require_file(path, f"{what} file")
     try:
-        return load_schema(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: invalid schema ({exc})") from None
+        return load(path, *args)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: invalid {what} ({exc})") from None
 
 
 def _read_records(path: str, schema: AttributeSchema | None = None) -> list[CorpusRecord]:
@@ -215,22 +216,6 @@ def _read_records(path: str, schema: AttributeSchema | None = None) -> list[Corp
         return read_jsonl(path, schema)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def _load_speaker(path: str, schema: AttributeSchema):
-    _require_file(path, "speaker file")
-    try:
-        return load_speaker(path, schema=schema)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: invalid speaker ({exc})") from None
-
-
-def _load_listener(path: str, schema: AttributeSchema):
-    _require_file(path, "listener file")
-    try:
-        return load_listener(path, schema=schema)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: invalid listener ({exc})") from None
 
 
 def _output_path(path: str) -> Path:
@@ -250,11 +235,7 @@ def _write_lines(lines: Sequence[str], path: str) -> None:
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     if args.grammar is not None:
-        _require_file(args.grammar, "grammar file")
-        try:
-            grammar = load_grammar(args.grammar)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise DataError(f"{args.grammar}: invalid grammar ({exc})") from None
+        grammar = _load("grammar", args.grammar, load_grammar)
         if args.omission_rate is not None:
             grammar = replace(grammar, omission_rate=cfg["omission_rate"])
     else:
@@ -290,7 +271,7 @@ def _training_pairs(records: list[CorpusRecord], schema: AttributeSchema):
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    schema = _load_schema(args.schema)
+    schema = _load("schema", args.schema, load_schema)
     records = _read_records(args.data, schema)
     pairs, vocab = _training_pairs(records, schema)
     speaker = train_ngram_speaker(
@@ -329,10 +310,11 @@ def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
 
 
 def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
-    schema = _load_schema(args.schema)
-    speaker = _load_speaker(args.speaker, schema)
+    schema = _load("schema", args.schema, load_schema)
+    speaker = _load("speaker", args.speaker, load_speaker, schema)
     mode = cfg["mode"]
-    listener = None if args.listener is None else _load_listener(args.listener, schema)
+    listener = (None if args.listener is None
+                else _load("listener", args.listener, load_listener, schema))
     if mode == MODE_RECONSTRUCTOR and listener is None:
         raise UsageError("reconstructor mode requires --listener")
     if listener is not None and listener.vocab.tokens != speaker.vocab.tokens:
@@ -393,6 +375,8 @@ def _read_predictions(path: str) -> dict[str, dict]:
         for lineno, payload in iter_jsonl(path):
             if not isinstance(payload, dict) or "id" not in payload or "output" not in payload:
                 raise DataError(f"{path}: line {lineno}: prediction needs id and output")
+            if not isinstance(payload["id"], str):
+                raise DataError(f"{path}: line {lineno}: prediction id must be a string")
             if payload["id"] in out:
                 raise DataError(f"{path}: line {lineno}: duplicate id {payload['id']!r}")
             out[payload["id"]] = payload
@@ -402,7 +386,7 @@ def _read_predictions(path: str) -> dict[str, dict]:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
-    schema = _load_schema(args.schema)
+    schema = _load("schema", args.schema, load_schema)
     records = _read_records(args.data, schema)
     predictions = _read_predictions(args.predictions)
     if not records:
@@ -435,8 +419,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
-    schema = _load_schema(args.schema)
-    speaker = _load_speaker(args.speaker, schema)
+    schema = _load("schema", args.schema, load_schema)
+    speaker = _load("speaker", args.speaker, load_speaker, schema)
     records = _read_records(args.data, schema)
     if not records:
         raise UsageError("no records to ablate over")

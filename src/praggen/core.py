@@ -87,11 +87,6 @@ def normalize_words(text: str) -> list[str]:
     return words
 
 
-def canonical_text(text: str) -> str:
-    """Canonicalized form of ``text`` as a single space-joined string."""
-    return " ".join(normalize_words(text))
-
-
 # ── token sequences ─────────────────────────────────────────────────────────
 
 
@@ -345,14 +340,6 @@ class AttributeSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def resolve_name(self, raw: str) -> str:
-        """Map a case-insensitive attribute spelling to its schema name."""
-        lowered = raw.strip().lower()
-        for a in self.attributes:
-            if a.name.lower() == lowered:
-                return a.name
-        raise KeyError(f"unknown attribute {raw!r}")
-
     def tokens(self) -> list[str]:
         """Every canonical token a valid MR linearization can contain."""
         toks: list[str] = []
@@ -407,12 +394,6 @@ def dump_json(payload: dict, path: Path) -> None:
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
         encoding="utf-8",
     )
-
-
-def default_schema() -> AttributeSchema:
-    """The shipped restaurant-domain schema (8 attributes)."""
-    resource = Path(__file__).parent / "resources" / "e2e_schema.json"
-    return load_schema(resource)
 
 
 # ── meaning representations ─────────────────────────────────────────────────

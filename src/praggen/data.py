@@ -1,4 +1,4 @@
-"""Corpus machinery: synthetic generation, CSV ingestion, delexicalization.
+"""Corpus machinery: synthetic generation, delexicalization, JSONL records.
 
 Randomness comes exclusively from ``random.Random`` (the stdlib Mersenne
 Twister), seeded per call, so generated corpora are reproducible across
@@ -14,7 +14,6 @@ measurable way.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import re
@@ -311,70 +310,6 @@ def load_grammar(path: str | Path) -> SyntheticGrammar:
         return grammar_from_dict(json.load(fh))
 
 
-# ── E2E-style CSV ingestion ─────────────────────────────────────────────────
-
-_CLAUSE_RE = re.compile(r"\s*([^\[\]]+?)\s*\[\s*(.*?)\s*\]\s*$")
-
-
-def _resolve_value(spec: AttributeSpec, raw: str, where: str) -> str:
-    if spec.kind == KIND_DELEXICALIZED:
-        if not raw:
-            raise ValueError(f"{where}: empty value for attribute {spec.name!r}")
-        return raw
-    lowered = raw.strip().lower()
-    for v in spec.values:
-        if v.lower() == lowered:
-            return v
-    raise ValueError(
-        f"{where}: value {raw!r} is not allowed for attribute {spec.name!r}"
-    )
-
-
-def parse_mr_text(mr_text: str, schema: AttributeSchema, where: str) -> MeaningRepresentation:
-    """Parse ``attr[value], attr[value]`` syntax against ``schema``."""
-    assignments: dict[str, str] = {}
-    text = mr_text.strip()
-    if not text:
-        return MeaningRepresentation({})
-    for part in text.split(","):
-        m = _CLAUSE_RE.match(part)
-        if m is None:
-            raise ValueError(f"{where}: malformed MR clause {part.strip()!r}")
-        try:
-            attr = schema.resolve_name(m.group(1))
-        except KeyError:
-            raise ValueError(
-                f"{where}: unknown attribute {m.group(1).strip()!r}"
-            ) from None
-        if attr in assignments:
-            raise ValueError(f"{where}: attribute {attr!r} assigned twice")
-        assignments[attr] = _resolve_value(schema.attribute(attr), m.group(2), where)
-    return MeaningRepresentation(assignments)
-
-
-def parse_e2e_csv(path: str | Path, schema: AttributeSchema) -> list[CorpusRecord]:
-    """Read a two-column quoted CSV of (mr, ref) rows with a header."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("CSV file is empty") from None
-        if [h.strip().lower() for h in header[:2]] != ["mr", "ref"]:
-            raise ValueError(f"unexpected CSV header {header!r}; expected mr,ref")
-        for idx, row in enumerate(reader):
-            where = f"row {reader.line_num}"
-            if len(row) < 2:
-                raise ValueError(f"{where}: expected two columns, got {len(row)}")
-            mr = parse_mr_text(row[0], schema, where)
-            ref = row[1].strip()
-            if not ref:
-                raise ValueError(f"{where}: empty reference")
-            records.append(CorpusRecord(id=f"e2e-{idx:05d}", mr=mr, reference=ref))
-    return records
-
-
 # ── delexicalization ────────────────────────────────────────────────────────
 
 
@@ -488,6 +423,12 @@ def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[
         if rec_id in seen:
             raise ValueError(f"line {lineno}: duplicate record id {rec_id!r}")
         seen.add(rec_id)
+        for key in ("mr", "delex"):
+            obj = payload[key]
+            if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+                raise ValueError(f"line {lineno}: {key} must be an object of strings")
+        if not isinstance(payload["ref"], str):
+            raise ValueError(f"line {lineno}: ref must be a string")
         mr = MeaningRepresentation(payload["mr"])
         if schema is not None:
             try:

@@ -200,7 +200,6 @@ def ablation_matrix(
     schema: AttributeSchema,
     vocab: Vocabulary,
     config: DecodeConfig,
-    measured: Sequence[str] | None = None,
     workers: int = 1,
 ) -> dict[str, dict[str, float]]:
     """Coverage grid: one base row, then one row per masked attribute.
@@ -211,7 +210,7 @@ def ablation_matrix(
     beam decode, so it reuses the base row's output. Row-to-row differences
     therefore isolate the masked attribute's effect. ``workers``: see ``map_jobs``.
     """
-    cols = list(measured) if measured is not None else measured_attributes(schema)
+    cols = measured_attributes(schema)
     matcher = CoverageMatcher(schema)
     base_config = replace(config, mode=MODE_BASE)
     masked_config = replace(config, mode=MODE_DISTRACTOR)

@@ -294,11 +294,15 @@ def load_listener(
         for attr, row in payload["priors"].items():
             for cls, cnt in row.items():
                 listener.class_counts[attr][cls] = int(cnt)
+        ids: set[int] = set()
         for attr, by_class in payload["token_counts"].items():
             for cls, row in by_class.items():
-                listener.token_counts[attr][cls] = {
-                    int(t): int(c) for t, c in row.items()
-                }
+                parsed = {int(t): int(c) for t, c in row.items()}
+                ids.update(parsed)
+                listener.token_counts[attr][cls] = parsed
+        outside = ids.difference(range(len(vocab)))
+        if outside:
+            raise ValueError(f"token id {min(outside)} is outside the vocabulary")
         return listener
     if kind == "reverse":
         if schema is None:

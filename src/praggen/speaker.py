@@ -309,10 +309,15 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGr
             schema=schema,
             copy_bonus=float(payload.get("copy_bonus", 0.0)),
         )
+        ids: set[int] = set()
         for key, row in payload["counts"].items():
             history = tuple(int(i) for i in key.split(","))
             parsed = {int(tok): int(cnt) for tok, cnt in row.items()}
+            ids.update(history, parsed)
             model.counts[history] = parsed
             model.totals[history] = sum(parsed.values())
+        outside = ids.difference(range(len(vocab)))
+        if outside:
+            raise ValueError(f"token id {min(outside)} is outside the vocabulary")
         return model
     raise ValueError(f"unknown speaker serialization type {kind!r}")

@@ -542,3 +542,64 @@ def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capf
     want = f"placeholders: {leaks} of 12 outputs keep an unmapped *_PLH token\n"
     assert reports == [want, want]
     assert files[0] == files[1]
+
+
+FIRST = object()
+
+
+def put(*path, value):
+    """An edit of a JSON payload that sets ``value`` at ``path``; ``FIRST``
+    stands for an object's first key."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[next(iter(node)) if key is FIRST else key]
+        node[path[-1]] = value
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit", [
+    pytest.param("schema", put("attributes", value=5), id="schema-attributes-int"),
+    pytest.param("schema", put("attributes", value=[5]), id="schema-attribute-int"),
+    pytest.param("speaker", put("counts", value=5), id="speaker-counts-int"),
+    pytest.param("speaker", lambda p: [p], id="speaker-list"),
+    pytest.param("speaker", put("counts", FIRST, "-1", value=1), id="speaker-token-negative"),
+    pytest.param("speaker", put("counts", FIRST, "99999", value=1), id="speaker-token-too-big"),
+    pytest.param("speaker", put("counts", "-1,6", value={"7": 1}), id="speaker-history-negative"),
+    pytest.param("listener", put("token_counts", FIRST, FIRST, "-2", value=1),
+                 id="listener-token-negative"),
+    pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
+                 id="listener-token-too-big"),
+    pytest.param("data", put("mr", value=5), id="record-mr-int"),
+    pytest.param("data", put("delex", value=5), id="record-delex-int"),
+    pytest.param("data", put("delex", "NAME_PLH", value=5), id="record-delex-value-int"),
+    pytest.param("data", put("ref", value=5), id="record-ref-int"),
+    pytest.param("predictions", put("id", value=["a"]), id="prediction-id-list"),
+])
+def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
+    sources = {"schema": ws["schema"], "speaker": ws["speaker"],
+               "listener": ws["listener"], "data": ws["dev"],
+               "predictions": tmp_path / "echo.jsonl"}
+    echo_predictions(read_jsonl(ws["dev"]), sources["predictions"])
+    source = sources[kind]
+    bad = tmp_path / f"bad{source.suffix}"
+    if source.suffix == ".jsonl":
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        bad.write_text(json.dumps(edit(json.loads(source.read_text(encoding="utf-8")))),
+                       encoding="utf-8")
+    files = {**sources, kind: bad}
+    out = tmp_path / "out.json"
+    command = {
+        "schema": ["train", "--data", ws["train"]],
+        "predictions": ["evaluate", "--data", ws["dev"],
+                        "--predictions", files["predictions"]],
+    }.get(kind, ["generate", "--data", files["data"], "--speaker", files["speaker"],
+                 "--mode", "reconstructor", "--listener", files["listener"]])
+    assert run(*command, "--schema", files["schema"], "--out", out) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert not out.exists()

@@ -23,8 +23,6 @@ from praggen.core import (
     TokenSequence,
     UnbuildableContextError,
     Vocabulary,
-    canonical_text,
-    default_schema,
     detokenize,
     linearize_mr,
     log_softmax,
@@ -68,10 +66,6 @@ def test_normalize_words_lowercases_and_splits_punctuation():
 def test_normalize_words_preserves_placeholders_case_insensitively():
     assert normalize_words("near Name_Plh today") == ["near", "NAME_PLH", "today"]
     assert normalize_words("NEAR_PLH!") == ["NEAR_PLH", "!"]
-
-
-def test_canonical_text_joins_with_single_spaces():
-    assert canonical_text("The  Red   Lion, please.") == "the red lion , please ."
 
 
 # ── token sequences ──────────────────────────────────────────────────────────
@@ -187,7 +181,7 @@ def test_detokenize_keeps_placeholders():
 def test_tokenize_detokenize_round_trip(words):
     vocab = small_vocab()
     text = " ".join(words)
-    assert detokenize(tokenize(text, vocab), vocab) == canonical_text(text)
+    assert detokenize(tokenize(text, vocab), vocab) == " ".join(normalize_words(text))
 
 
 # ── log_softmax ──────────────────────────────────────────────────────────────
@@ -267,14 +261,6 @@ def test_schema_rejects_duplicate_names():
         AttributeSchema(attributes=(spec, spec))
 
 
-def test_schema_resolve_name_is_case_insensitive():
-    schema = small_schema()
-    assert schema.resolve_name("PRICERANGE") == "priceRange"
-    assert schema.resolve_name("  Area ") == "area"
-    with pytest.raises(KeyError):
-        schema.resolve_name("bogus")
-
-
 def test_schema_lookup_and_iteration():
     schema = small_schema()
     assert schema.names() == ("name", "area", "priceRange", "familyFriendly")
@@ -295,13 +281,6 @@ def test_schema_dict_round_trip():
     assert schema_from_dict(schema_to_dict(schema)) == schema
     with pytest.raises(ValueError):
         schema_from_dict({"nope": []})
-
-
-def test_default_schema_shape():
-    schema = default_schema()
-    assert len(schema) == 8
-    assert schema.attribute("name").kind == KIND_DELEXICALIZED
-    assert schema.attribute("familyFriendly").lexicon
 
 
 # ── meaning representations ──────────────────────────────────────────────────

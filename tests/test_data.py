@@ -12,7 +12,6 @@ from praggen.core import (
     AttributeSchema,
     AttributeSpec,
     MeaningRepresentation,
-    default_schema,
 )
 from praggen.data import (
     CorpusRecord,
@@ -24,8 +23,6 @@ from praggen.data import (
     grammar_from_dict,
     grammar_to_dict,
     load_grammar,
-    parse_e2e_csv,
-    parse_mr_text,
     read_jsonl,
     relexicalize,
     write_jsonl,
@@ -187,11 +184,16 @@ def test_realize_requires_the_head():
         grammar.realize(MeaningRepresentation({"area": "riverside"}), random.Random(0))
 
 
-def test_default_grammar_matches_the_default_schema():
+def test_default_grammar_carries_the_restaurant_schema():
     grammar = default_grammar(omission_rate=0.25)
     assert grammar.omission_rate == 0.25
-    assert [s.name for s in grammar.schema] == [s.name for s in default_schema()]
-    assert len(list(grammar.schema)) == 8
+    schema = grammar.schema
+    assert schema.names() == (
+        "name", "eatType", "food", "priceRange",
+        "customerRating", "area", "familyFriendly", "near",
+    )
+    assert schema.attribute("name").kind == KIND_DELEXICALIZED
+    assert schema.attribute("familyFriendly").lexicon
 
 
 def test_grammar_dict_round_trip(tmp_path):
@@ -201,79 +203,6 @@ def test_grammar_dict_round_trip(tmp_path):
     path = tmp_path / "grammar.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert grammar_to_dict(load_grammar(path)) == payload
-
-
-# ── attribute-value text parsing ─────────────────────────────────────────────
-
-
-def test_parse_mr_text_reads_clause_syntax():
-    schema = small_schema()
-    mr = parse_mr_text("name[The Mill], area[riverside]", schema, "row 1")
-    assert dict(mr.items()) == {"name": "The Mill", "area": "riverside"}
-
-
-def test_parse_mr_text_canonicalizes_case():
-    schema = small_schema()
-    mr = parse_mr_text("AREA[Riverside], familyfriendly[YES]", schema, "row 1")
-    assert dict(mr.items()) == {"area": "riverside", "familyFriendly": "yes"}
-
-
-def test_parse_mr_text_empty_input_is_the_empty_mr():
-    assert dict(parse_mr_text("  ", small_schema(), "row 1").items()) == {}
-
-
-def test_parse_mr_text_errors_name_the_row():
-    schema = small_schema()
-    with pytest.raises(ValueError, match="row 4.*malformed"):
-        parse_mr_text("area riverside", schema, "row 4")
-    with pytest.raises(ValueError, match="unknown attribute"):
-        parse_mr_text("cuisine[thai]", schema, "row 4")
-    with pytest.raises(ValueError, match="assigned twice"):
-        parse_mr_text("area[riverside], area[city centre]", schema, "row 4")
-    with pytest.raises(ValueError, match="not allowed"):
-        parse_mr_text("area[moon]", schema, "row 4")
-    with pytest.raises(ValueError, match="empty value"):
-        parse_mr_text("name[]", schema, "row 4")
-
-
-def test_parse_e2e_csv(tmp_path):
-    path = tmp_path / "corpus.csv"
-    path.write_text(
-        'mr,ref\n"name[Aromi], area[riverside]","Aromi sits riverside ."\n'
-        '"name[The Mill]","The Mill is a venue ."\n',
-        encoding="utf-8",
-    )
-    records = parse_e2e_csv(path, small_schema())
-    assert [r.id for r in records] == ["e2e-00000", "e2e-00001"]
-    assert records[0].mr.get("area") == "riverside"
-    assert records[1].reference == "The Mill is a venue ."
-
-
-def test_parse_e2e_csv_validates_shape(tmp_path):
-    schema = small_schema()
-    empty = tmp_path / "empty.csv"
-    empty.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        parse_e2e_csv(empty, schema)
-
-    bad_header = tmp_path / "header.csv"
-    bad_header.write_text("a,b\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
-        parse_e2e_csv(bad_header, schema)
-
-    short_row = tmp_path / "short.csv"
-    short_row.write_text("mr,ref\nname[Aromi]\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="row 2"):
-        parse_e2e_csv(short_row, schema)
-
-    blank_ref = tmp_path / "blank.csv"
-    blank_ref.write_text('mr,ref\n"name[Aromi]",""\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="row 2: empty reference"):
-        parse_e2e_csv(blank_ref, schema)
-
-    header_only = tmp_path / "none.csv"
-    header_only.write_text("mr,ref\n", encoding="utf-8")
-    assert parse_e2e_csv(header_only, schema) == []
 
 
 # ── delexicalization ─────────────────────────────────────────────────────────
@@ -308,7 +237,7 @@ def test_delexicalize_respects_word_boundaries():
 
 
 def test_delexicalize_handles_both_placeholders():
-    schema = default_schema()
+    schema = default_grammar().schema
     record = CorpusRecord(
         id="r1",
         mr=MeaningRepresentation({"name": "Aromi", "near": "The Bakers"}),
@@ -335,7 +264,7 @@ def test_delexicalize_leaves_placeholder_values_alone():
 
 
 def test_relexicalize_round_trip():
-    schema = default_schema()
+    schema = default_grammar().schema
     record = CorpusRecord(
         id="r1",
         mr=MeaningRepresentation({"name": "Aromi", "near": "The Bakers"}),

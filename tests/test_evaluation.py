@@ -8,11 +8,10 @@ import pytest
 from praggen.core import (
     NAME_PLACEHOLDER,
     MeaningRepresentation,
-    default_schema,
     normalize_words,
     tokenize,
 )
-from praggen.data import CorpusRecord, build_corpus_vocabulary
+from praggen.data import CorpusRecord, build_corpus_vocabulary, default_grammar
 from praggen.evaluation import (
     CoverageMatcher,
     ablation_matrix,
@@ -214,7 +213,7 @@ def test_matcher_ignores_boolean_polarity():
 
 
 def test_matcher_knows_hyphenated_lexicon_entries():
-    matcher = CoverageMatcher(default_schema())
+    matcher = CoverageMatcher(default_grammar().schema)
     assert matcher.mentions("familyFriendly", "yes", "a family-friendly cafe .")
 
 
@@ -309,16 +308,6 @@ def test_ablation_matrix_shape_and_zero_alpha_reduction():
     # with no pragmatic weight every masking row decodes exactly like BASE
     for attribute in ("area", "priceRange", "familyFriendly"):
         assert matrix[attribute] == matrix["BASE"]
-
-
-def test_ablation_matrix_respects_the_measured_subset():
-    schema, vocab, records, speaker = ablation_fixture()
-    config = DecodeConfig(beam_size=4, max_len=12, alpha=0.0)
-    matrix = ablation_matrix(
-        speaker, records, schema, vocab, config, measured=["area"]
-    )
-    assert list(matrix) == ["BASE", "area"]
-    assert list(matrix["BASE"]) == ["area"]
 
 
 def test_write_ablation_csv_format(tmp_path):
