@@ -34,6 +34,7 @@ from praggen.core import (
     tokenize,
     validate_mr,
 )
+from praggen.data import default_grammar
 
 WORDS = ["area", "riverside", "cheap", "pub", "food", "the", "a", "is"]
 
@@ -281,6 +282,13 @@ def test_schema_dict_round_trip():
     assert schema_from_dict(schema_to_dict(schema)) == schema
     with pytest.raises(ValueError):
         schema_from_dict({"nope": []})
+
+
+def test_default_schema_shape():
+    schema = default_grammar().schema
+    assert len(schema) == 8
+    assert schema.attribute("name").kind == KIND_DELEXICALIZED
+    assert schema.attribute("familyFriendly").lexicon
 
 
 # ── meaning representations ──────────────────────────────────────────────────

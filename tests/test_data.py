@@ -6,7 +6,6 @@ import pytest
 from praggen.core import (
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
-    KIND_DELEXICALIZED,
     NAME_PLACEHOLDER,
     NEAR_PLACEHOLDER,
     AttributeSchema,
@@ -184,16 +183,13 @@ def test_realize_requires_the_head():
         grammar.realize(MeaningRepresentation({"area": "riverside"}), random.Random(0))
 
 
-def test_default_grammar_carries_the_restaurant_schema():
+def test_default_grammar_matches_the_default_schema():
     grammar = default_grammar(omission_rate=0.25)
     assert grammar.omission_rate == 0.25
-    schema = grammar.schema
-    assert schema.names() == (
+    assert grammar.schema.names() == (
         "name", "eatType", "food", "priceRange",
         "customerRating", "area", "familyFriendly", "near",
     )
-    assert schema.attribute("name").kind == KIND_DELEXICALIZED
-    assert schema.attribute("familyFriendly").lexicon
 
 
 def test_grammar_dict_round_trip(tmp_path):
