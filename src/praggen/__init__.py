@@ -48,7 +48,6 @@ from .evaluation import (
 )
 from .listener import (
     AttributeClassifierListener,
-    ListenerModel,
     ReverseSpeakerListener,
     load_listener,
     save_listener,
@@ -90,7 +89,6 @@ __all__ = [
     "DecodeConfig",
     "DegenerateDistributionError",
     "DistractorPolicy",
-    "ListenerModel",
     "MeaningRepresentation",
     "NGramSpeaker",
     "ReverseSpeakerListener",

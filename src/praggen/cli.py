@@ -271,6 +271,8 @@ def _training_pairs(records: list[CorpusRecord], schema: AttributeSchema):
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
+    if args.listener_out and Path(args.listener_out).resolve() == Path(args.out).resolve():
+        raise UsageError("--out and --listener-out must be different files")
     schema = _load("schema", args.schema, load_schema)
     records = _read_records(args.data, schema)
     pairs, vocab = _training_pairs(records, schema)
@@ -287,18 +289,15 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     print(f"trained order-{cfg['order']} speaker on {len(pairs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
     if args.listener_out is not None:
-        listener_out = _output_path(args.listener_out)
         if cfg["listener_type"] == "attribute-nb":
             listener = train_attribute_listener(
                 pairs, schema, k=cfg["listener_k"], vocab=vocab
             )
-            save_listener(listener, listener_out)
         else:
             listener = train_reverse_listener(
                 pairs, cfg["order"], cfg["k"], schema=schema, vocab=vocab
             )
-            model_path = listener_out.with_suffix(".model.json")
-            save_listener(listener, listener_out, model_path=model_path)
+        save_listener(listener, _output_path(args.listener_out))
         print(f"trained {cfg['listener_type']} listener, saved to {args.listener_out}")
     return 0
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from abc import ABC, abstractmethod
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
@@ -37,26 +36,25 @@ from .core import (
     schema_from_dict,
     schema_to_dict,
 )
-from .speaker import NGramSpeaker, SpeakerModel, load_speaker, save_speaker, sequence_logprob
+from .speaker import (
+    NGramSpeaker,
+    SpeakerModel,
+    check_counts,
+    sequence_logprob,
+    speaker_from_dict,
+    speaker_to_dict,
+)
 
 ABSENT_CLASS = "__absent__"
 
 _EXCLUDED_BAG_IDS = frozenset({BOS_ID, EOS_ID, SEP_ID})
 
 
-class ListenerModel(ABC):
-    """Anything that can score how well an output identifies its input."""
-
-    @abstractmethod
-    def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
-        """Log-probability of recovering ``input`` from ``output``."""
-
-
 def _bag_ids(output: TokenSequence) -> list[int]:
     return [i for i in output.ids if i not in _EXCLUDED_BAG_IDS]
 
 
-class AttributeClassifierListener(ListenerModel):
+class AttributeClassifierListener:
     """Per-attribute bag-of-words naive Bayes with add-k smoothing.
 
     ``class_counts`` and ``token_counts`` hold raw training counts; the
@@ -165,7 +163,7 @@ class AttributeClassifierListener(ListenerModel):
         return total
 
 
-class ReverseSpeakerListener(ListenerModel):
+class ReverseSpeakerListener:
     """Reconstruction score from a speaker trained on swapped pairs.
 
     The score of input ``i`` given output ``o`` is the reverse model's
@@ -236,16 +234,14 @@ def train_reverse_listener(
 # ── serialization ───────────────────────────────────────────────────────────
 
 
-def save_listener(
-    listener: ListenerModel, path: str | Path, model_path: str | Path | None = None
-) -> None:
-    """Serialize a listener; reverse listeners also write their inner speaker."""
-    path = Path(path)
-    if isinstance(listener, AttributeClassifierListener):
+def save_listener(listener: object, path: str | Path) -> None:
+    """Serialize a listener, with its schema, to one deterministic JSON file."""
+    if isinstance(listener, ReverseSpeakerListener):
+        payload = {"type": "reverse", "model": speaker_to_dict(listener.model)}
+    elif isinstance(listener, AttributeClassifierListener):
         payload = {
             "type": "attribute-nb",
             "k": listener.k,
-            "schema": schema_to_dict(listener.schema),
             "vocab": list(listener.vocab.tokens),
             "priors": {
                 attr: dict(sorted(row.items()))
@@ -259,57 +255,42 @@ def save_listener(
                 for attr, by_class in listener.token_counts.items()
             },
         }
-        dump_json(payload, path)
-        return
-    if isinstance(listener, ReverseSpeakerListener):
-        if model_path is None:
-            raise ValueError("saving a reverse listener requires a model path")
-        save_speaker(listener.model, model_path)
-        # Stored relative to the listener file when possible, so the pair
-        # stays loadable after the directory moves.
-        model_ref = Path(model_path).resolve()
-        try:
-            model_ref = model_ref.relative_to(path.resolve().parent)
-        except ValueError:
-            pass
-        payload = {"type": "reverse", "model": str(model_ref)}
-        dump_json(payload, path)
-        return
-    raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
+    else:
+        raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
+    payload["schema"] = schema_to_dict(listener.schema)
+    dump_json(payload, Path(path))
 
 
 def load_listener(
     path: str | Path, schema: AttributeSchema | None = None
-) -> ListenerModel:
-    """Load a serialized listener; an NB listener's schema must equal ``schema`` if given."""
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+) -> AttributeClassifierListener | ReverseSpeakerListener:
+    """Load a serialized listener; its schema must equal ``schema`` if given."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("type")
-    if kind == "attribute-nb":
-        loaded_schema = schema_from_dict(payload["schema"])
-        if schema is not None and loaded_schema != schema:
-            raise ValueError("listener schema differs from the given schema")
-        vocab = Vocabulary(payload["vocab"])
-        listener = AttributeClassifierListener(loaded_schema, vocab, k=float(payload["k"]))
-        for attr, row in payload["priors"].items():
-            for cls, cnt in row.items():
-                listener.class_counts[attr][cls] = int(cnt)
-        ids: set[int] = set()
-        for attr, by_class in payload["token_counts"].items():
-            for cls, row in by_class.items():
-                parsed = {int(t): int(c) for t, c in row.items()}
-                ids.update(parsed)
-                listener.token_counts[attr][cls] = parsed
-        outside = ids.difference(range(len(vocab)))
-        if outside:
-            raise ValueError(f"token id {min(outside)} is outside the vocabulary")
-        return listener
+    if kind not in ("attribute-nb", "reverse"):
+        raise ValueError(f"unknown listener serialization type {kind!r}")
+    loaded_schema = schema_from_dict(payload["schema"])
+    if schema is not None and loaded_schema != schema:
+        raise ValueError("listener schema differs from the given schema")
     if kind == "reverse":
-        if schema is None:
-            raise ValueError("loading a reverse listener requires a schema")
-        member = Path(payload["model"])
-        if not member.is_absolute():
-            member = path.parent / member
-        model = load_speaker(member)
-        return ReverseSpeakerListener(model, schema, model.vocab)
-    raise ValueError(f"unknown listener serialization type {kind!r}")
+        model = speaker_from_dict(payload["model"])
+        return ReverseSpeakerListener(model, loaded_schema, model.vocab)
+    vocab = Vocabulary(payload["vocab"])
+    listener = AttributeClassifierListener(loaded_schema, vocab, k=float(payload["k"]))
+    for table in ("priors", "token_counts"):
+        for attr, by_class in payload[table].items():
+            if undeclared := set(by_class).difference(listener.classes[attr]):
+                raise ValueError(f"class {min(undeclared)!r} of {attr!r} is not in the schema")
+    for attr, row in payload["priors"].items():
+        check_counts(row.values())
+        listener.class_counts[attr].update(row)
+    ids: set[int] = set()
+    for attr, by_class in payload["token_counts"].items():
+        for cls, row in by_class.items():
+            check_counts(row.values())
+            parsed = {int(t): c for t, c in row.items()}
+            ids.update(parsed)
+            listener.token_counts[attr][cls] = parsed
+    if outside := ids.difference(range(len(vocab))):
+        raise ValueError(f"token id {min(outside)} is outside the vocabulary")
+    return listener

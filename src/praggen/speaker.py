@@ -270,35 +270,33 @@ def sequence_logprob(model: SpeakerModel, input: object, output: TokenSequence) 
 # ── serialization ───────────────────────────────────────────────────────────
 
 
-def save_speaker(model: SpeakerModel, path: str | Path) -> None:
-    """Serialize a speaker to deterministic JSON."""
-    path = Path(path)
+def check_counts(counts: Iterable[object]) -> None:
+    """Refuse a serialized count that is not a non-negative integer."""
+    if bad := [count for count in counts if type(count) is not int or count < 0]:
+        raise ValueError(f"count {bad[0]!r} is not a non-negative integer")
+
+
+def speaker_to_dict(model: SpeakerModel) -> dict:
+    """The deterministic JSON payload of a speaker."""
     if isinstance(model, NGramSpeaker):
-        counts = {
-            ",".join(str(i) for i in history): {
-                str(tok): cnt for tok, cnt in sorted(row.items())
-            }
-            for history, row in model.counts.items()
-        }
-        dump_json(
-            {
-                "type": "ngram",
-                "order": model.order,
-                "k": model.k,
-                "copy_bonus": model.copy_bonus,
-                "vocab": list(model.vocab.tokens),
-                "counts": counts,
+        return {
+            "type": "ngram",
+            "order": model.order,
+            "k": model.k,
+            "copy_bonus": model.copy_bonus,
+            "vocab": list(model.vocab.tokens),
+            "counts": {
+                ",".join(str(i) for i in history): {
+                    str(tok): cnt for tok, cnt in sorted(row.items())
+                }
+                for history, row in model.counts.items()
             },
-            path,
-        )
-        return
+        }
     raise TypeError(f"cannot serialize speaker of type {type(model).__name__}")
 
 
-def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
-    """Load a serialized speaker."""
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+def speaker_from_dict(payload: dict, schema: AttributeSchema | None = None) -> NGramSpeaker:
+    """The speaker a :func:`speaker_to_dict` payload describes."""
     kind = payload.get("type")
     if kind == "ngram":
         vocab = Vocabulary(payload["vocab"])
@@ -311,13 +309,23 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGr
         )
         ids: set[int] = set()
         for key, row in payload["counts"].items():
+            check_counts(row.values())
             history = tuple(int(i) for i in key.split(","))
-            parsed = {int(tok): int(cnt) for tok, cnt in row.items()}
+            parsed = {int(tok): cnt for tok, cnt in row.items()}
             ids.update(history, parsed)
             model.counts[history] = parsed
             model.totals[history] = sum(parsed.values())
-        outside = ids.difference(range(len(vocab)))
-        if outside:
+        if outside := ids.difference(range(len(vocab))):
             raise ValueError(f"token id {min(outside)} is outside the vocabulary")
         return model
     raise ValueError(f"unknown speaker serialization type {kind!r}")
+
+
+def save_speaker(model: SpeakerModel, path: str | Path) -> None:
+    """Serialize a speaker to deterministic JSON."""
+    dump_json(speaker_to_dict(model), Path(path))
+
+
+def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
+    """Load a serialized speaker."""
+    return speaker_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), schema)

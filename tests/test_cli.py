@@ -6,8 +6,11 @@ import re
 import pytest
 
 from praggen.cli import main
-from praggen.core import load_schema
-from praggen.data import delexicalize, read_jsonl, write_jsonl
+from praggen.core import detokenize, load_schema
+from praggen.data import delexicalize, read_jsonl, relexicalize, write_jsonl
+from praggen.listener import load_listener
+from praggen.pragmatics import DecodeConfig, beam_search, rerank_reconstructor
+from praggen.speaker import load_speaker
 
 
 def run(*argv):
@@ -152,8 +155,7 @@ def test_train_reverse_listener(ws, tmp_path):
         "--listener-out", tmp_path / "rev.json", "--listener-type", "reverse",
     )
     assert rc == 0
-    assert (tmp_path / "rev.json").is_file()
-    assert (tmp_path / "rev.model.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rev.json", "speaker.json"]
 
 
 @pytest.mark.parametrize("listener_type", ["attribute-nb", "reverse"])
@@ -164,8 +166,17 @@ def test_train_creates_missing_directories(ws, tmp_path, listener_type):
         "--listener-out", listener, "--listener-type", listener_type,
     )
     assert rc == 0
-    assert speaker.is_file() and listener.is_file()
-    assert (tmp_path / "c" / "d" / "l.model.json").is_file() == (listener_type == "reverse")
+    assert speaker.is_file()
+    assert list(listener.parent.iterdir()) == [listener]
+
+
+def test_train_refuses_one_file_for_speaker_and_listener(ws, tmp_path, capsys):
+    for listener in (tmp_path / "m.json", tmp_path / "sub" / ".." / "m.json"):
+        rc = run("train", "--data", ws["train"], "--schema", ws["schema"],
+                 "--out", tmp_path / "m.json", "--listener-out", listener)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_train_input_errors(ws, tmp_path):
@@ -521,13 +532,40 @@ def test_generate_refuses_a_listener_of_another_vocabulary(ws, tmp_path, capsys)
                    "listener vocabulary differs from the speaker's")
 
 
-def test_generate_refuses_a_listener_of_another_schema(ws, tmp_path, capsys):
-    payload = json.loads(ws["listener"].read_text(encoding="utf-8"))
-    payload["schema"]["attributes"].reverse()
+@pytest.mark.parametrize("listener_type", ["attribute-nb", "reverse"])
+def test_generate_refuses_a_listener_of_another_schema(ws, tmp_path, capsys, listener_type):
     listener = tmp_path / "listener.json"
+    assert run("train", "--data", ws["train"], "--schema", ws["schema"],
+               "--out", tmp_path / "speaker.json", "--listener-out", listener,
+               "--listener-type", listener_type) == 0
+    payload = json.loads(listener.read_text(encoding="utf-8"))
+    payload["schema"]["attributes"].reverse()
     listener.write_text(json.dumps(payload), encoding="utf-8")
     assert_refused(ws, tmp_path, capsys, listener,
                    "listener schema differs from the given schema")
+
+
+def test_generate_decodes_through_a_reverse_listener_file(ws, tmp_path):
+    listener, out = tmp_path / "rev.json", tmp_path / "p.jsonl"
+    assert run("train", "--data", ws["train"], "--schema", ws["schema"],
+               "--out", tmp_path / "speaker.json", "--listener-out", listener,
+               "--listener-type", "reverse") == 0
+    assert run(*decode_args(ws, "generate"), "--out", out, "--mode", "reconstructor",
+               "--listener", listener, "--lambda", 0.9) == 0
+    schema = load_schema(ws["schema"])
+    speaker, reverse = load_speaker(ws["speaker"], schema), load_listener(listener)
+    config = DecodeConfig(mode="reconstructor", lambda_=0.9)
+    want = []
+    for rec in (delexicalize(r, schema) for r in read_jsonl(ws["dev"])):
+        top = rerank_reconstructor(rec.mr, beam_search(speaker, rec.mr, config), reverse, 0.9)[0]
+        want.append({
+            "id": rec.id,
+            "output": relexicalize(detokenize(top.output, speaker.vocab), rec.delex_map),
+            "base_logprob": top.base_logprob,
+            "listener_logprob": top.listener_logprob,
+            "combined_score": top.combined_score,
+        })
+    assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] == want
 
 
 def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capfd):
@@ -567,6 +605,17 @@ def put(*path, value):
     pytest.param("speaker", put("counts", FIRST, "-1", value=1), id="speaker-token-negative"),
     pytest.param("speaker", put("counts", FIRST, "99999", value=1), id="speaker-token-too-big"),
     pytest.param("speaker", put("counts", "-1,6", value={"7": 1}), id="speaker-history-negative"),
+    pytest.param("speaker", put("counts", FIRST, "7", value=-5), id="speaker-count-negative"),
+    pytest.param("speaker", put("counts", FIRST, "7", value=2513.7),
+                 id="speaker-count-fractional"),
+    pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
+                 id="listener-prior-negative"),
+    pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=-1),
+                 id="listener-token-count-negative"),
+    pytest.param("listener", put("priors", FIRST, "bogus", value=7),
+                 id="listener-class-undeclared"),
+    pytest.param("listener", put("token_counts", FIRST, "bogus", value={}),
+                 id="listener-token-class-undeclared"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "-2", value=1),
                  id="listener-token-negative"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),

@@ -328,27 +328,24 @@ def test_reverse_listener_round_trip_survives_directory_move(tmp_path):
     schema, vocab, pairs, listener = reverse_setup()
     sub = tmp_path / "models"
     sub.mkdir()
-    save_listener(listener, sub / "listener.json", model_path=sub / "listener.model.json")
+    save_listener(listener, sub / "listener.json")
+    assert [p.name for p in sub.iterdir()] == ["listener.json"]
     moved = tmp_path / "elsewhere"
     sub.rename(moved)
-    loaded = load_listener(moved / "listener.json", schema=schema)
+    loaded = load_listener(moved / "listener.json")
+    assert loaded.schema == schema
     mr, output = pairs[1]
     assert loaded.reconstruction_logprob(mr, output) == listener.reconstruction_logprob(
         mr, output
     )
 
 
-def test_reverse_listener_load_requires_schema(tmp_path):
+def test_reverse_listener_load_refuses_another_schema(tmp_path):
     schema, vocab, pairs, listener = reverse_setup()
-    save_listener(listener, tmp_path / "l.json", model_path=tmp_path / "l.model.json")
-    with pytest.raises(ValueError, match="schema"):
-        load_listener(tmp_path / "l.json")
-
-
-def test_reverse_listener_save_requires_model_path(tmp_path):
-    schema, vocab, pairs, listener = reverse_setup()
-    with pytest.raises(ValueError, match="model path"):
-        save_listener(listener, tmp_path / "l.json")
+    save_listener(listener, tmp_path / "l.json")
+    reordered = AttributeSchema(attributes=tuple(reversed(schema.attributes)))
+    with pytest.raises(ValueError, match="listener schema differs from the given schema"):
+        load_listener(tmp_path / "l.json", schema=reordered)
 
 
 def test_load_rejects_unknown_listener_type(tmp_path):
