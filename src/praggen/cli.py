@@ -376,6 +376,8 @@ def _read_predictions(path: str) -> dict[str, dict]:
                 raise DataError(f"{path}: line {lineno}: prediction needs id and output")
             if not isinstance(payload["id"], str):
                 raise DataError(f"{path}: line {lineno}: prediction id must be a string")
+            if not isinstance(payload["output"], str):
+                raise DataError(f"{path}: line {lineno}: prediction output must be a string")
             if payload["id"] in out:
                 raise DataError(f"{path}: line {lineno}: duplicate id {payload['id']!r}")
             out[payload["id"]] = payload
@@ -401,7 +403,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         if extra:
             parts.append(f"predictions without records: {', '.join(extra)}")
         raise UsageError("data and predictions do not match; " + "; ".join(parts))
-    hyps = [str(predictions[r.id]["output"]) for r in records]
+    hyps = [predictions[r.id]["output"] for r in records]
     refs = [r.reference for r in records]
     report: dict[str, object] = {}
     if "bleu" in cfg["metrics"]:

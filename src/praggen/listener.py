@@ -38,11 +38,13 @@ from .core import (
 )
 from .speaker import (
     NGramSpeaker,
-    SpeakerModel,
+    add_k_rows,
     check_counts,
+    read_counts,
     sequence_logprob,
     speaker_from_dict,
     speaker_to_dict,
+    train_ngram_speaker,
 )
 
 ABSENT_CLASS = "__absent__"
@@ -88,15 +90,20 @@ class AttributeClassifierListener:
 
     # ── training ────────────────────────────────────────────────────────
 
+    def _class_index(self, mr: MeaningRepresentation, attribute: str) -> int:
+        """The index of the class that ``mr`` gives ``attribute``."""
+        value = mr.get(attribute)
+        try:
+            return self.classes[attribute].index(value if value is not None else ABSENT_CLASS)
+        except ValueError:
+            raise ValueError(
+                f"value {value!r} for attribute {attribute!r} is not a listener class"
+            ) from None
+
     def observe(self, mr: MeaningRepresentation, output: TokenSequence) -> None:
         bag = _bag_ids(output)
         for spec in self.schema:
-            label = mr.get(spec.name)
-            cls = label if label is not None else ABSENT_CLASS
-            if cls not in self.class_counts[spec.name]:
-                raise ValueError(
-                    f"value {label!r} for attribute {spec.name!r} is not a listener class"
-                )
+            cls = self.classes[spec.name][self._class_index(mr, spec.name)]
             self.class_counts[spec.name][cls] += 1
             row = self.token_counts[spec.name][cls]
             for tok in bag:
@@ -108,21 +115,15 @@ class AttributeClassifierListener:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Log priors (classes,) and token log-likelihoods (V, classes)."""
         if self._log_tables is None:
-            v = len(self.vocab)
-            priors, columns = [], []
+            priors = []
             for name, classes in self.classes.items():
                 counts = np.array([self.class_counts[name][c] for c in classes], dtype=float)
                 priors.append(
                     np.log(counts + self.k) - math.log(counts.sum() + self.k * len(classes))
                 )
-                for c in classes:
-                    row = self.token_counts[name][c]
-                    denom = math.log(sum(row.values()) + self.k * v)
-                    column = np.full(v, math.log(self.k) - denom)
-                    for t, cnt in row.items():
-                        column[t] = math.log(cnt + self.k) - denom
-                    columns.append(column)
-            prior, tok = np.concatenate(priors), np.stack(columns, axis=1)
+            rows = [row for by_class in self.token_counts.values() for row in by_class.values()]
+            prior = np.concatenate(priors)
+            tok = np.ascontiguousarray(add_k_rows(rows, self.k, len(self.vocab)).T)
             prior.setflags(write=False)
             tok.setflags(write=False)
             self._log_tables = (prior, tok)
@@ -150,16 +151,9 @@ class AttributeClassifierListener:
         values = scores.tolist()
         total = 0.0
         for spec, top in zip(self.schema, tops.tolist()):
-            value = input.get(spec.name)
-            cls = value if value is not None else ABSENT_CLASS
-            try:
-                idx = self.classes[spec.name].index(cls)
-            except ValueError:
-                raise ValueError(
-                    f"value {value!r} for attribute {spec.name!r} is not a listener class"
-                ) from None
             rows = self._rows[spec.name]
-            total += values[rows.start + idx] - (top + math.log(shifted[rows].sum()))
+            idx = rows.start + self._class_index(input, spec.name)
+            total += values[idx] - (top + math.log(shifted[rows].sum()))
         return total
 
 
@@ -167,28 +161,18 @@ class ReverseSpeakerListener:
     """Reconstruction score from a speaker trained on swapped pairs.
 
     The score of input ``i`` given output ``o`` is the reverse model's
-    sequence log-probability of the linearized ``i`` (EOS-terminated) with
-    ``o`` as its pre-context.
+    sequence log-probability of ``i``'s context ids (EOS-terminated) with
+    ``o`` as its pre-context; the model's schema linearizes an MR input.
     """
 
-    def __init__(
-        self, model: SpeakerModel, schema: AttributeSchema, vocab: Vocabulary
-    ) -> None:
+    def __init__(self, model: NGramSpeaker) -> None:
         self.model = model
-        self.schema = schema
-        self.vocab = vocab
-
-    def _target(self, input: object) -> TokenSequence:
-        if isinstance(input, MeaningRepresentation):
-            ids = linearize_mr(input, self.schema, self.vocab).ids
-        elif isinstance(input, TokenSequence):
-            ids = input.core_ids()
-        else:
-            raise TypeError(f"unsupported listener input type {type(input).__name__}")
-        return TokenSequence(ids + (EOS_ID,))
+        self.schema = model.schema
+        self.vocab = model.vocab
 
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
-        return sequence_logprob(self.model, output, self._target(input))
+        target = TokenSequence(self.model.context_ids(input) + (EOS_ID,))
+        return sequence_logprob(self.model, output, target)
 
 
 # ── module-level operations ─────────────────────────────────────────────────
@@ -220,15 +204,10 @@ def train_reverse_listener(
     vocab: Vocabulary,
 ) -> ReverseSpeakerListener:
     """Train the swapped-pair speaker behind a reverse listener."""
-    model = NGramSpeaker(order, k, vocab, schema=None)
-    n = 0
-    for mr, output in corpus:
-        target = TokenSequence(linearize_mr(mr, schema, vocab).ids)
-        model.observe(output, target)
-        n += 1
-    if n == 0:
-        raise ValueError("training corpus is empty")
-    return ReverseSpeakerListener(model, schema, vocab)
+    swapped = ((output, linearize_mr(mr, schema, vocab)) for mr, output in corpus)
+    return ReverseSpeakerListener(
+        train_ngram_speaker(swapped, order, k, vocab=vocab, schema=schema)
+    )
 
 
 # ── serialization ───────────────────────────────────────────────────────────
@@ -273,8 +252,7 @@ def load_listener(
     if schema is not None and loaded_schema != schema:
         raise ValueError("listener schema differs from the given schema")
     if kind == "reverse":
-        model = speaker_from_dict(payload["model"])
-        return ReverseSpeakerListener(model, loaded_schema, model.vocab)
+        return ReverseSpeakerListener(speaker_from_dict(payload["model"], loaded_schema))
     vocab = Vocabulary(payload["vocab"])
     listener = AttributeClassifierListener(loaded_schema, vocab, k=float(payload["k"]))
     for table in ("priors", "token_counts"):
@@ -284,13 +262,7 @@ def load_listener(
     for attr, row in payload["priors"].items():
         check_counts(row.values())
         listener.class_counts[attr].update(row)
-    ids: set[int] = set()
     for attr, by_class in payload["token_counts"].items():
         for cls, row in by_class.items():
-            check_counts(row.values())
-            parsed = {int(t): c for t, c in row.items()}
-            ids.update(parsed)
-            listener.token_counts[attr][cls] = parsed
-    if outside := ids.difference(range(len(vocab))):
-        raise ValueError(f"token id {min(outside)} is outside the vocabulary")
+            listener.token_counts[attr][cls] = read_counts(row, len(vocab))
     return listener

@@ -86,7 +86,7 @@ class NGramSpeaker(SpeakerModel):
     """Add-k smoothed n-gram model scored through an input-prefixed window.
 
     ``counts`` maps a history tuple (up to ``order - 1`` ids) to the counts
-    of tokens observed after it; ``totals`` caches each history's mass.
+    of tokens observed after it.
     """
 
     def __init__(
@@ -111,7 +111,6 @@ class NGramSpeaker(SpeakerModel):
         self.vocab_size = len(vocab)
         self.eos_id = EOS_ID
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self.totals: dict[tuple[int, ...], int] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
 
     # ── training ────────────────────────────────────────────────────────
@@ -134,7 +133,6 @@ class NGramSpeaker(SpeakerModel):
             nxt = seq[t]
             row = self.counts.setdefault(history, {})
             row[nxt] = row.get(nxt, 0) + 1
-            self.totals[history] = self.totals.get(history, 0) + 1
         self._table = None
 
     # ── scoring ─────────────────────────────────────
@@ -155,14 +153,7 @@ class NGramSpeaker(SpeakerModel):
         matrix of add-k rows whose last row serves every unseen history."""
         if self._table is None:
             index = {history: i for i, history in enumerate(self.counts)}
-            size = self.vocab_size
-            floor = math.log(self.k) - math.log(self.k * size)
-            table = np.full((len(index) + 1, size), floor)
-            for history, i in index.items():
-                denom = math.log(self.totals[history] + self.k * size)
-                table[i] = math.log(self.k) - denom
-                for tok, cnt in self.counts[history].items():
-                    table[i, tok] = math.log(cnt + self.k) - denom
+            table = add_k_rows([*self.counts.values(), {}], self.k, self.vocab_size)
             table.setflags(write=False)
             self._table = (index, table)
         return self._table
@@ -223,6 +214,19 @@ class NGramSpeaker(SpeakerModel):
 # ── module-level operations ─────────────────────────────────────────────────
 
 
+def add_k_rows(rows: Sequence[dict[int, int]], k: float, size: int) -> np.ndarray:
+    """The (len(rows), size) add-k log-probability rows of token-count maps:
+    ``log((count + k) / (total + k * size))``, where an empty map gives the
+    uniform row."""
+    table = np.empty((len(rows), size))
+    for i, row in enumerate(rows):
+        denom = math.log(sum(row.values()) + k * size)
+        table[i] = math.log(k) - denom
+        for tok, cnt in row.items():
+            table[i, tok] = math.log(cnt + k) - denom
+    return table
+
+
 def train_ngram_speaker(
     corpus: Iterable[tuple[object, TokenSequence]],
     order: int,
@@ -276,6 +280,16 @@ def check_counts(counts: Iterable[object]) -> None:
         raise ValueError(f"count {bad[0]!r} is not a non-negative integer")
 
 
+def read_counts(row: dict, size: int) -> dict[int, int]:
+    """A serialized ``{token id: count}`` row with its ids parsed; refuses a
+    count that ``check_counts`` refuses and an id outside ``range(size)``."""
+    check_counts(row.values())
+    parsed = {int(tok): count for tok, count in row.items()}
+    if outside := set(parsed).difference(range(size)):
+        raise ValueError(f"token id {min(outside)} is outside the vocabulary")
+    return parsed
+
+
 def speaker_to_dict(model: SpeakerModel) -> dict:
     """The deterministic JSON payload of a speaker."""
     if isinstance(model, NGramSpeaker):
@@ -298,27 +312,27 @@ def speaker_to_dict(model: SpeakerModel) -> dict:
 def speaker_from_dict(payload: dict, schema: AttributeSchema | None = None) -> NGramSpeaker:
     """The speaker a :func:`speaker_to_dict` payload describes."""
     kind = payload.get("type")
-    if kind == "ngram":
-        vocab = Vocabulary(payload["vocab"])
-        model = NGramSpeaker(
-            order=int(payload["order"]),
-            k=float(payload["k"]),
-            vocab=vocab,
-            schema=schema,
-            copy_bonus=float(payload.get("copy_bonus", 0.0)),
-        )
-        ids: set[int] = set()
-        for key, row in payload["counts"].items():
-            check_counts(row.values())
-            history = tuple(int(i) for i in key.split(","))
-            parsed = {int(tok): cnt for tok, cnt in row.items()}
-            ids.update(history, parsed)
-            model.counts[history] = parsed
-            model.totals[history] = sum(parsed.values())
-        if outside := ids.difference(range(len(vocab))):
-            raise ValueError(f"token id {min(outside)} is outside the vocabulary")
-        return model
-    raise ValueError(f"unknown speaker serialization type {kind!r}")
+    if kind != "ngram":
+        raise ValueError(f"unknown speaker serialization type {kind!r}")
+    order = payload["order"]
+    if type(order) is not int:
+        raise ValueError(f"order {order!r} is not an integer")
+    model = NGramSpeaker(
+        order=order,
+        k=float(payload["k"]),
+        vocab=Vocabulary(payload["vocab"]),
+        schema=schema,
+        copy_bonus=float(payload.get("copy_bonus", 0.0)),
+    )
+    for key, row in payload["counts"].items():
+        history = tuple(int(i) for i in key.split(","))
+        read_counts(dict.fromkeys(history, 0), model.vocab_size)  # checks the ids
+        # A trained window is short only where it reaches back across BOS
+        # to the start of the context.
+        if len(history) >= order or (len(history) < order - 1 and BOS_ID not in history):
+            raise ValueError(f"history {key!r} does not fit order {order}")
+        model.counts[history] = read_counts(row, model.vocab_size)
+    return model
 
 
 def save_speaker(model: SpeakerModel, path: str | Path) -> None:

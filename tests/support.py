@@ -286,13 +286,13 @@ def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
     """
     k, size = speaker.k, speaker.vocab_size
     window = (ctx + (BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
-    total = speaker.totals.get(window)
-    if total is None:
+    counts = speaker.counts.get(window)
+    if counts is None:
         row = np.full(size, math.log(k) - math.log(k * size))
     else:
-        denom = math.log(total + k * size)
+        denom = math.log(sum(counts.values()) + k * size)
         row = np.full(size, math.log(k) - denom)
-        for tok, cnt in speaker.counts[window].items():
+        for tok, cnt in counts.items():
             row[tok] = math.log(cnt + k) - denom
     if speaker.copy_bonus == 0.0:
         return row

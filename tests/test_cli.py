@@ -19,7 +19,7 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A small synthetic corpus with a trained speaker and listener."""
+    """A small synthetic corpus with a trained speaker and both listener kinds."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     assert (
@@ -39,6 +39,10 @@ def ws(tmp_path_factory):
         )
         == 0
     )
+    assert run("train", "--data", data / "train.jsonl", "--schema", data / "schema.json",
+               "--out", root / "reverse" / "speaker.json",
+               "--listener-out", root / "reverse" / "listener.json",
+               "--listener-type", "reverse") == 0
     return {
         "root": root,
         "schema": data / "schema.json",
@@ -46,6 +50,7 @@ def ws(tmp_path_factory):
         "dev": data / "dev.jsonl",
         "speaker": root / "model" / "speaker.json",
         "listener": root / "model" / "listener.json",
+        "reverse": root / "reverse" / "listener.json",
     }
 
 
@@ -608,6 +613,11 @@ def put(*path, value):
     pytest.param("speaker", put("counts", FIRST, "7", value=-5), id="speaker-count-negative"),
     pytest.param("speaker", put("counts", FIRST, "7", value=2513.7),
                  id="speaker-count-fractional"),
+    pytest.param("speaker", put("order", value=2.5), id="speaker-order-fractional"),
+    pytest.param("speaker", put("order", value="3"), id="speaker-order-string"),
+    pytest.param("speaker", put("order", value=2), id="speaker-order-too-small"),
+    pytest.param("speaker", put("order", value=4), id="speaker-order-too-big"),
+    pytest.param("speaker", put("order", value=5), id="speaker-order-much-too-big"),
     pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
                  id="listener-prior-negative"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=-1),
@@ -620,15 +630,22 @@ def put(*path, value):
                  id="listener-token-negative"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
                  id="listener-token-too-big"),
+    pytest.param("reverse", put("model", "counts", FIRST, "7", value=-5),
+                 id="reverse-count-negative"),
+    pytest.param("reverse", put("model", "counts", FIRST, "99999", value=1),
+                 id="reverse-token-too-big"),
+    pytest.param("reverse", put("model", "order", value=2.5), id="reverse-order-fractional"),
     pytest.param("data", put("mr", value=5), id="record-mr-int"),
     pytest.param("data", put("delex", value=5), id="record-delex-int"),
     pytest.param("data", put("delex", "NAME_PLH", value=5), id="record-delex-value-int"),
     pytest.param("data", put("ref", value=5), id="record-ref-int"),
     pytest.param("predictions", put("id", value=["a"]), id="prediction-id-list"),
+    pytest.param("predictions", put("output", value=None), id="prediction-output-null"),
+    pytest.param("predictions", put("output", value=5), id="prediction-output-int"),
 ])
 def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
     sources = {"schema": ws["schema"], "speaker": ws["speaker"],
-               "listener": ws["listener"], "data": ws["dev"],
+               "listener": ws["listener"], "reverse": ws["reverse"], "data": ws["dev"],
                "predictions": tmp_path / "echo.jsonl"}
     echo_predictions(read_jsonl(ws["dev"]), sources["predictions"])
     source = sources[kind]
@@ -647,7 +664,8 @@ def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
         "predictions": ["evaluate", "--data", ws["dev"],
                         "--predictions", files["predictions"]],
     }.get(kind, ["generate", "--data", files["data"], "--speaker", files["speaker"],
-                 "--mode", "reconstructor", "--listener", files["listener"]])
+                 "--mode", "reconstructor",
+                 "--listener", files["reverse" if kind == "reverse" else "listener"]])
     assert run(*command, "--schema", files["schema"], "--out", out) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")

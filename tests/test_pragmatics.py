@@ -555,7 +555,7 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
                         want = speaker.step_logprobs_ctx(ctx, prefix).tobytes()
                         assert row.tobytes() == want
                         assert reference_ngram_row(speaker, ctx, prefix).tobytes() == want
-                        seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in speaker.totals)
+                        seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in speaker.counts)
             assert seen == {True, False}
 
 

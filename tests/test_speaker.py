@@ -58,7 +58,6 @@ def test_bigram_counts_match_hand_enumeration():
         (a,): {b: 1},
         (b,): {EOS_ID: 2},
     }
-    assert model.totals == {(BOS_ID,): 2, (a,): 1, (b,): 2}
 
 
 def test_bigram_conditional_cells_match_smoothing_formula():
@@ -315,7 +314,7 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus):
             want = reference_ngram_row(model, ctx, prefix)
             assert row.tobytes() == want.tobytes()
             assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
-            seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.totals)
+            seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.counts)
     assert seen == {True, False}
 
 
