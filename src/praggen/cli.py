@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +32,6 @@ from .data import (
     generate_corpus,
     has_unmapped_placeholder,
     iter_jsonl,
-    load_grammar,
     read_jsonl,
     relexicalize,
     write_jsonl,
@@ -234,12 +232,7 @@ def _write_lines(lines: Sequence[str], path: str) -> None:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
-    if args.grammar is not None:
-        grammar = _load("grammar", args.grammar, load_grammar)
-        if args.omission_rate is not None:
-            grammar = replace(grammar, omission_rate=cfg["omission_rate"])
-    else:
-        grammar = default_grammar(cfg["omission_rate"])
+    grammar = default_grammar(cfg["omission_rate"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = (
@@ -333,13 +326,10 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     freqs = None
     if mode == MODE_DISTRACTOR and policy.kind == POLICY_MASK_ALL:
         freqs = value_frequencies([r.mr for r in delexed], schema)
-    jobs = []
-    for i, rec in enumerate(delexed):
-        distractors: list[object] = []
-        if mode == MODE_DISTRACTOR:
-            previous = delexed[i - 1].mr if i > 0 else None
-            distractors = policy.distractors(rec.mr, freqs=freqs, previous=previous)
-        jobs.append((rec, distractors))
+    jobs = [
+        (rec, policy.distractors(rec.mr, freqs=freqs) if mode == MODE_DISTRACTOR else [])
+        for rec in delexed
+    ]
 
     def decode(i: int) -> dict:
         rec, distractors = jobs[i]
@@ -461,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--test-size", type=int, dest="test_size")
     synth.add_argument("--omission-rate", type=float, dest="omission_rate",
                        help="chance a reference drops an assigned clause")
-    synth.add_argument("--grammar", help="JSON grammar replacing the built-in one")
 
     train = sub.add_parser("train", help="train speaker (and optional listener)")
     _add_common(train)
@@ -493,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--alpha", type=float,
                      help="belief weight in distractor decoding")
     gen.add_argument("--distractor-policy", dest="distractor_policy",
-                     help="mask-all | mask-single:<attr> | previous-unit | none")
+                     help="mask-all | mask-single:<attr> | none")
     gen.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     ev = sub.add_parser("evaluate", help="score predictions against references")

@@ -33,8 +33,6 @@ from .core import (
     PLACEHOLDER_TOKENS,
     Vocabulary,
     normalize_words,
-    schema_from_dict,
-    schema_to_dict,
     validate_mr,
 )
 
@@ -58,8 +56,8 @@ class CorpusRecord:
 class SyntheticGrammar:
     """Template grammar over a schema.
 
-    ``templates`` maps categorical and delexicalized attributes to at least
-    two ``{v}``-bearing clause templates, which realize the value verbatim.
+    ``templates`` maps categorical and delexicalized attributes to
+    ``{v}``-bearing clause templates, which realize the value verbatim.
     Boolean attributes instead carry per-value templates in
     ``boolean_templates``; those realize a phrase from the attribute's
     mention lexicon rather than the literal yes/no value.
@@ -77,49 +75,6 @@ class SyntheticGrammar:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omission_rate <= 1.0:
             raise ValueError("omission_rate must lie in [0, 1]")
-        head = self.schema.attribute(self.head_attribute)
-        if head.kind != KIND_DELEXICALIZED:
-            raise ValueError("the head attribute must be delexicalized")
-        for spec in self.schema:
-            if spec.kind == KIND_BOOLEAN:
-                per_value = self.boolean_templates.get(spec.name)
-                if per_value is None or set(per_value) != set(spec.values):
-                    raise ValueError(
-                        f"boolean attribute {spec.name!r} needs templates per value"
-                    )
-                for value, options in per_value.items():
-                    if len(options) < 2:
-                        raise ValueError(
-                            f"attribute {spec.name!r} value {value!r} needs >= 2 templates"
-                        )
-            else:
-                options = self.templates.get(spec.name)
-                if options is None or len(options) < 2:
-                    raise ValueError(f"attribute {spec.name!r} needs >= 2 templates")
-                for tpl in options:
-                    if "{v}" not in tpl:
-                        raise ValueError(
-                            f"template {tpl!r} for {spec.name!r} does not realize the value"
-                        )
-            if spec.kind == KIND_DELEXICALIZED:
-                pool = self.surface_pools.get(spec.name)
-                if not pool:
-                    raise ValueError(
-                        f"delexicalized attribute {spec.name!r} needs a surface pool"
-                    )
-            if spec.name != self.head_attribute:
-                pi = self.presence.get(spec.name)
-                if pi is None or not 0.0 <= pi <= 1.0:
-                    raise ValueError(
-                        f"attribute {spec.name!r} needs a presence probability in [0, 1]"
-                    )
-            weights = self.value_weights.get(spec.name)
-            if spec.kind != KIND_DELEXICALIZED and (
-                weights is None or len(weights) != len(spec.values)
-            ):
-                raise ValueError(
-                    f"attribute {spec.name!r} needs one weight per value"
-                )
 
     def sample_mr(self, rng: random.Random) -> MeaningRepresentation:
         """Sample surface-valued assignments; the head is always present."""
@@ -265,49 +220,6 @@ def generate_corpus(
             )
         )
     return records
-
-
-# ── grammar serialization ───────────────────────────────────────────────────
-
-
-def grammar_to_dict(grammar: SyntheticGrammar) -> dict:
-    return {
-        "schema": schema_to_dict(grammar.schema),
-        "templates": {k: list(v) for k, v in grammar.templates.items()},
-        "boolean_templates": {
-            k: {val: list(tpls) for val, tpls in v.items()}
-            for k, v in grammar.boolean_templates.items()
-        },
-        "value_weights": {k: list(v) for k, v in grammar.value_weights.items()},
-        "surface_pools": {k: list(v) for k, v in grammar.surface_pools.items()},
-        "presence": dict(grammar.presence),
-        "omission_rate": grammar.omission_rate,
-        "head_attribute": grammar.head_attribute,
-    }
-
-
-def grammar_from_dict(payload: Mapping) -> SyntheticGrammar:
-    return SyntheticGrammar(
-        schema=schema_from_dict(payload["schema"]),
-        templates={k: tuple(v) for k, v in payload.get("templates", {}).items()},
-        boolean_templates={
-            k: {val: tuple(tpls) for val, tpls in v.items()}
-            for k, v in payload.get("boolean_templates", {}).items()
-        },
-        value_weights={
-            k: tuple(float(x) for x in v)
-            for k, v in payload.get("value_weights", {}).items()
-        },
-        surface_pools={k: tuple(v) for k, v in payload.get("surface_pools", {}).items()},
-        presence={k: float(v) for k, v in payload.get("presence", {}).items()},
-        omission_rate=float(payload.get("omission_rate", 0.1)),
-        head_attribute=payload.get("head_attribute", "name"),
-    )
-
-
-def load_grammar(path: str | Path) -> SyntheticGrammar:
-    with open(path, encoding="utf-8") as fh:
-        return grammar_from_dict(json.load(fh))
 
 
 # ── delexicalization ────────────────────────────────────────────────────────

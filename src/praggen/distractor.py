@@ -4,8 +4,7 @@ A distractor is an alternative input the decoder should steer away from.
 For attribute-value inputs the useful alternatives come from masking:
 ``mask_all`` inverts the input (present attributes dropped, absent ones
 filled with their most frequent training value), ``mask_single`` removes
-one attribute so decoding is maximally pressured to realize it. For
-document units the distractor is simply the previous unit.
+one attribute so decoding is maximally pressured to realize it.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ def mask_single_distractor(
 
 POLICY_MASK_ALL = "mask-all"
 POLICY_MASK_SINGLE = "mask-single"
-POLICY_PREVIOUS_UNIT = "previous-unit"
 POLICY_NONE = "none"
 
 
@@ -96,21 +94,16 @@ POLICY_NONE = "none"
 class DistractorPolicy:
     """Named recipe turning one input into its distractor list.
 
-    Policies may legitimately produce no distractor (mask-single on an
-    input that does not assign the attribute, the first unit of a
-    document); callers then decode in base mode.
+    Policies may legitimately produce no distractor (``none``, or
+    mask-single on an input that does not assign the attribute); callers
+    then decode in base mode.
     """
 
     kind: str
     attribute: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            POLICY_MASK_ALL,
-            POLICY_MASK_SINGLE,
-            POLICY_PREVIOUS_UNIT,
-            POLICY_NONE,
-        ):
+        if self.kind not in (POLICY_MASK_ALL, POLICY_MASK_SINGLE, POLICY_NONE):
             raise ValueError(f"unknown distractor policy {self.kind!r}")
         if self.kind == POLICY_MASK_SINGLE and not self.attribute:
             raise ValueError("mask-single requires an attribute name")
@@ -119,25 +112,19 @@ class DistractorPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "DistractorPolicy":
-        """Parse CLI syntax: ``mask-all``, ``mask-single:<attr>``,
-        ``previous-unit``, or ``none``."""
+        """Parse CLI syntax: ``mask-all``, ``mask-single:<attr>`` or
+        ``none``."""
         if text.startswith(POLICY_MASK_SINGLE + ":"):
             attr = text[len(POLICY_MASK_SINGLE) + 1 :]
             return cls(POLICY_MASK_SINGLE, attribute=attr)
         return cls(text)
 
     def distractors(
-        self,
-        input: object,
-        *,
-        freqs: ValueFrequencyTable | None = None,
-        previous: object | None = None,
+        self, input: object, *, freqs: ValueFrequencyTable | None = None
     ) -> list[object]:
         """Distractor list for ``input``; may be empty."""
         if self.kind == POLICY_NONE:
             return []
-        if self.kind == POLICY_PREVIOUS_UNIT:
-            return [previous] if previous is not None else []
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("masking policies need a meaning representation input")
         if self.kind == POLICY_MASK_ALL:

@@ -41,6 +41,7 @@ from .speaker import (
     add_k_rows,
     check_counts,
     read_counts,
+    read_number,
     sequence_logprob,
     speaker_from_dict,
     speaker_to_dict,
@@ -254,7 +255,8 @@ def load_listener(
     if kind == "reverse":
         return ReverseSpeakerListener(speaker_from_dict(payload["model"], loaded_schema))
     vocab = Vocabulary(payload["vocab"])
-    listener = AttributeClassifierListener(loaded_schema, vocab, k=float(payload["k"]))
+    k = read_number("k", payload["k"])
+    listener = AttributeClassifierListener(loaded_schema, vocab, k=k)
     for table in ("priors", "token_counts"):
         for attr, by_class in payload[table].items():
             if undeclared := set(by_class).difference(listener.classes[attr]):

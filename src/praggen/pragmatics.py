@@ -435,7 +435,8 @@ def generate(
     """Dispatch one decode according to ``config.mode``.
 
     Distractor mode falls back to the plain beam output when no distractor
-    is supplied (the first unit of a document, a fully unmaskable input).
+    is supplied (the ``none`` policy, an input that does not assign the
+    masked attribute).
     Only reconstructor mode needs the whole beam; the others decode until
     their top hypothesis is settled.
     """

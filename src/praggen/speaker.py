@@ -280,6 +280,13 @@ def check_counts(counts: Iterable[object]) -> None:
         raise ValueError(f"count {bad[0]!r} is not a non-negative integer")
 
 
+def read_number(name: str, value: object) -> float:
+    """The serialized setting ``name``; refuses anything but a JSON number."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
 def read_counts(row: dict, size: int) -> dict[int, int]:
     """A serialized ``{token id: count}`` row with its ids parsed; refuses a
     count that ``check_counts`` refuses and an id outside ``range(size)``."""
@@ -319,10 +326,10 @@ def speaker_from_dict(payload: dict, schema: AttributeSchema | None = None) -> N
         raise ValueError(f"order {order!r} is not an integer")
     model = NGramSpeaker(
         order=order,
-        k=float(payload["k"]),
+        k=read_number("k", payload["k"]),
         vocab=Vocabulary(payload["vocab"]),
         schema=schema,
-        copy_bonus=float(payload.get("copy_bonus", 0.0)),
+        copy_bonus=read_number("copy_bonus", payload.get("copy_bonus", 0.0)),
     )
     for key, row in payload["counts"].items():
         history = tuple(int(i) for i in key.split(","))

@@ -1,15 +1,11 @@
-import json
 import random
 
 import pytest
 
 from praggen.core import (
-    KIND_BOOLEAN,
     KIND_CATEGORICAL,
     NAME_PLACEHOLDER,
     NEAR_PLACEHOLDER,
-    AttributeSchema,
-    AttributeSpec,
     MeaningRepresentation,
 )
 from praggen.data import (
@@ -19,9 +15,6 @@ from praggen.data import (
     default_grammar,
     delexicalize,
     generate_corpus,
-    grammar_from_dict,
-    grammar_to_dict,
-    load_grammar,
     read_jsonl,
     relexicalize,
     write_jsonl,
@@ -70,68 +63,6 @@ def test_grammar_rejects_bad_omission_rate():
         tiny_grammar(omission_rate=1.5)
 
 
-def test_grammar_head_must_be_delexicalized():
-    with pytest.raises(ValueError, match="head attribute"):
-        tiny_grammar(head_attribute="area")
-
-
-def test_grammar_requires_two_templates_per_attribute():
-    broken = {
-        "name": ("{v} is", "{v} stands as"),
-        "area": ("in the {v}",),
-        "priceRange": ("a {v} venue", "priced {v}"),
-    }
-    with pytest.raises(ValueError, match=">= 2 templates"):
-        tiny_grammar(templates=broken)
-
-
-def test_grammar_templates_must_realize_the_value():
-    broken = {
-        "name": ("{v} is", "{v} stands as"),
-        "area": ("in the area", "nearby"),
-        "priceRange": ("a {v} venue", "priced {v}"),
-    }
-    with pytest.raises(ValueError, match="does not realize"):
-        tiny_grammar(templates=broken)
-
-
-def test_grammar_booleans_need_per_value_templates():
-    with pytest.raises(ValueError, match="per value"):
-        tiny_grammar(
-            boolean_templates={"familyFriendly": {"yes": ("family friendly", "kids ok")}}
-        )
-    with pytest.raises(ValueError, match=">= 2 templates"):
-        tiny_grammar(
-            boolean_templates={
-                "familyFriendly": {
-                    "yes": ("family friendly",),
-                    "no": ("adults only", "not family friendly"),
-                }
-            }
-        )
-
-
-def test_grammar_delexicalized_attributes_need_surface_pools():
-    with pytest.raises(ValueError, match="surface pool"):
-        tiny_grammar(surface_pools={})
-
-
-def test_grammar_non_head_attributes_need_presence():
-    with pytest.raises(ValueError, match="presence"):
-        tiny_grammar(presence={"area": 0.8, "priceRange": 0.8})
-
-
-def test_grammar_needs_one_weight_per_value():
-    with pytest.raises(ValueError, match="one weight per value"):
-        tiny_grammar(
-            value_weights={
-                "area": (0.7, 0.2, 0.1),
-                "priceRange": (0.5, 0.5),
-                "familyFriendly": (0.6, 0.4),
-            }
-        )
-
-
 # ── sampling ─────────────────────────────────────────────────────────────────
 
 
@@ -158,15 +89,16 @@ def test_head_attribute_is_always_sampled():
 
 
 def test_zero_omission_realizes_every_categorical_value():
-    grammar = tiny_grammar(omission_rate=0.0)
-    rng = random.Random(5)
-    for _ in range(60):
-        mr = grammar.sample_mr(rng)
-        text = grammar.realize(mr, rng).lower()
-        for attr in ("area", "priceRange"):
-            value = mr.get(attr)
-            if value is not None:
-                assert value.lower() in text
+    for grammar in (tiny_grammar(omission_rate=0.0), default_grammar(0.0)):
+        categorical = [s.name for s in grammar.schema if s.kind == KIND_CATEGORICAL]
+        rng = random.Random(5)
+        for _ in range(60):
+            mr = grammar.sample_mr(rng)
+            text = grammar.realize(mr, rng).lower()
+            for attr in categorical:
+                value = mr.get(attr)
+                if value is not None:
+                    assert value.lower() in text, (attr, text)
 
 
 def test_full_omission_leaves_only_the_head_clause():
@@ -191,14 +123,6 @@ def test_default_grammar_matches_the_default_schema():
         "customerRating", "area", "familyFriendly", "near",
     )
 
-
-def test_grammar_dict_round_trip(tmp_path):
-    grammar = tiny_grammar()
-    payload = grammar_to_dict(grammar)
-    assert grammar_to_dict(grammar_from_dict(payload)) == payload
-    path = tmp_path / "grammar.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert grammar_to_dict(load_grammar(path)) == payload
 
 
 # ── delexicalization ─────────────────────────────────────────────────────────

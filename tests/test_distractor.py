@@ -136,7 +136,6 @@ def test_policy_parse_round_trip():
     assert DistractorPolicy.parse("mask-single:near") == DistractorPolicy(
         "mask-single", attribute="near"
     )
-    assert DistractorPolicy.parse("previous-unit") == DistractorPolicy("previous-unit")
     assert DistractorPolicy.parse("none") == DistractorPolicy("none")
 
 
@@ -156,13 +155,6 @@ def test_policy_validation():
 
 def test_none_policy_yields_nothing():
     assert DistractorPolicy("none").distractors(mr(area="riverside")) == []
-
-
-def test_previous_unit_policy_wraps_the_previous_input():
-    policy = DistractorPolicy("previous-unit")
-    assert policy.distractors(mr(area="riverside"), previous=None) == []
-    prev = mr(priceRange="high")
-    assert policy.distractors(mr(area="riverside"), previous=prev) == [prev]
 
 
 def test_masking_policies_require_meaning_representations():
