@@ -253,9 +253,10 @@ def map_jobs(job: Callable[[int], object], jobs: int, workers: int) -> list:
     """``[job(i) for i in range(jobs)]`` on up to ``workers`` forked processes.
 
     The processes inherit ``job`` and all it reads through fork, so only
-    indices and results cross a pipe. Results keep index order, and the
-    first job to fail in index order raises, as in a plain loop. With one
-    process that loop runs and no pool starts.
+    indices and results cross a pipe, in chunks of about a quarter of each
+    process's share. Results keep index order, and the first job to fail in
+    index order raises, as in a plain loop. With one process that loop runs
+    and no pool starts.
     """
     size = pool_size(workers, jobs, os.cpu_count())
     if size == 1:
@@ -263,7 +264,7 @@ def map_jobs(job: Callable[[int], object], jobs: int, workers: int) -> list:
     import multiprocessing  # here, so that serial runs do not pay for the import
 
     with multiprocessing.get_context("fork").Pool(size, _adopt_job, (job,)) as pool:
-        return list(pool.imap(_run_forked_job, range(jobs)))
+        return list(pool.imap(_run_forked_job, range(jobs), max(1, jobs // (4 * size))))
 
 
 # ── attribute schemas ───────────────────────────────────────────────────────

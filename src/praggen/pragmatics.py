@@ -21,7 +21,8 @@ ranking bit for bit.
 The engine advances the whole beam per step. Its K live hypotheses are
 scored as one (K, L, V) block of speaker rows, one per hypothesis, input
 and token (L = 1 outside distractor mode), gathered from the speaker's
-``row_source`` for the decode. One function turns that block into pragmatic
+``row_source`` for the decode with their base step rows, which the speaker
+normalizes once per decode. One function turns that block into pragmatic
 step scores and updated beliefs, as the public ``distractor_step_scores``
 and ``belief_update`` do. ``np.partition`` finds the ``beam_size``-th best
 score, and a stable lexsort orders only the finite entries that reach it,
@@ -39,7 +40,9 @@ still runs the whole beam and returns all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -150,17 +153,22 @@ def _pragmatic_block(
     extended = rows + beliefs[:, :, None]
     m = extended.max(axis=1)
     finite = m > -math.inf
-    shift = np.where(finite, m, 0.0)
-    # Each token's mass is summed over the inputs as one contiguous run, so
-    # numpy adds it pairwise, as it did when hypotheses were scored one at
-    # a time; summing across the block's rows would add in another order.
-    mass = np.exp(extended - shift[:, None, :]).transpose(0, 2, 1).copy()
-    sums = mass.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = shift + np.log(sums)
-        posterior = np.where(
-            finite[:, None, :], extended - denom[:, None, :], -math.inf
-        )
+    masked = not finite.all()
+    shift = np.where(finite, m, 0.0) if masked else m
+    mass = np.exp(extended - shift[:, None, :])
+    # Each token's mass is summed over the inputs in the order numpy sums
+    # one contiguous run, as it did when hypotheses were scored one at a
+    # time: left to right below 8 entries, pairwise from 8 on.
+    if mass.shape[1] < 8:
+        sums = reduce(np.add, mass.swapaxes(0, 1))
+    else:
+        sums = mass.transpose(0, 2, 1).copy().sum(axis=2)
+    if masked:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = shift + np.log(sums)
+            posterior = np.where(finite[:, None, :], extended - denom[:, None, :], -math.inf)
+    else:
+        posterior = extended - (shift + np.log(sums))[:, None, :]
     true_rows = rows[:, true_index]
     if alpha == 0.0:
         # Short-circuit keeps the reduction identity exact and avoids
@@ -228,17 +236,19 @@ def distractor_step_scores(
 # ── beam engine ─────────────────────────────────────────────────────────────
 
 
-@dataclass
 class _Hypothesis:
-    ids: tuple[int, ...]
-    score: float
-    base: float
-    beliefs: np.ndarray | None = None
-    finished: bool = False
-    sort_key: tuple = field(init=False, repr=False)
+    """One beam entry; ``index`` is its flat position (parent * V + token)
+    in the step block that chose it."""
 
-    def __post_init__(self) -> None:
-        self.sort_key = (-self.score, -self.base, self.ids)
+    __slots__ = ("ids", "score", "base", "beliefs", "finished", "index", "sort_key")
+
+    def __init__(self, ids, score, base, beliefs=None, finished=False, index=0):
+        self.ids, self.score, self.base, self.beliefs = ids, score, base, beliefs
+        self.finished, self.index = finished, index
+        self.sort_key = (-score, -base, ids)
+
+
+_by_rank, _by_index = attrgetter("sort_key"), attrgetter("index")
 
 
 def _beam_decode(
@@ -253,10 +263,12 @@ def _beam_decode(
     Returns the ``n_best`` best hypotheses (the whole beam by default),
     best first.
 
-    The live hypotheses are kept in lexicographic order of their ids. Each
-    step gathers their scores, base scores and beliefs into arrays, scores
-    all of them at once as one (K, L, V) block and selects the
-    ``beam_size`` best finite expansions by a stable lexsort on (score,
+    The live hypotheses are kept in lexicographic order of their ids, which
+    is the order of their flat indices (parent * V + token) in the block
+    that chose them: their parents were in id order and all share one
+    length. Each step gathers their scores, base scores and beliefs into
+    arrays, scores all of them at once as one (K, L, V) block and selects
+    the ``beam_size`` best finite expansions by a stable lexsort on (score,
     base score) of only the entries at or above the ``beam_size``-th best
     score; the block's row-major order breaks the remaining ties by ids,
     because live hypotheses share one length. These are exactly the
@@ -281,12 +293,7 @@ def _beam_decode(
     step_rows = speaker.row_source(contexts)
     live: list[_Hypothesis] = [
         _Hypothesis(
-            ids=(),
-            score=0.0,
-            base=0.0,
-            beliefs=np.full(len(contexts), -math.log(len(contexts)))
-            if pragmatic
-            else None,
+            (), 0.0, 0.0, np.full(len(contexts), -math.log(len(contexts))) if pragmatic else None
         )
     ]
     finished: list[_Hypothesis] = []
@@ -297,8 +304,7 @@ def _beam_decode(
         top = beam[:n_best]
         if all(h.score < top[-1].score for h in live):
             break
-        rows = step_rows([h.ids for h in live])
-        base_steps = log_softmax(rows[:, 0])
+        rows, base_steps = step_rows([h.ids for h in live])
         if pragmatic:
             # np.array copies a list of equal rows into one array, as
             # np.stack does, at a third of the call overhead.
@@ -315,25 +321,25 @@ def _beam_decode(
         keep = np.flatnonzero(score_keys >= kth if kth > -math.inf else score_keys > kth)
         parent, token = np.divmod(keep, base_steps.shape[1])
         scores = score_keys[keep]
-        bases = np.array([h.base for h in live])[parent] + base_steps[parent, token]
+        if pragmatic:
+            bases = np.array([h.base for h in live])[parent] + base_steps[parent, token]
+        else:  # every score is its base score, bit for bit
+            bases = scores
         chosen = np.lexsort((-bases, -scores))[: config.beam_size]
-        pool = list(finished)
-        for i in chosen.tolist():
-            k, tok = int(parent[i]), int(token[i])
-            pool.append(
-                _Hypothesis(
-                    ids=live[k].ids + (tok,),
-                    score=float(scores[i]),
-                    base=float(bases[i]),
-                    beliefs=posterior[k, :, tok] if pragmatic else None,
-                    finished=tok == speaker.eos_id,
-                )
+        parent, token = parent[chosen], token[chosen]
+        beliefs = posterior[parent, :, token] if pragmatic else [None] * len(chosen)
+        pool = finished + [
+            _Hypothesis(live[k].ids + (tok,), score, base, belief, tok == speaker.eos_id, index)
+            for k, tok, score, base, index, belief in zip(
+                parent.tolist(), token.tolist(), scores[chosen].tolist(),
+                bases[chosen].tolist(), keep[chosen].tolist(), beliefs,
             )
-        pool.sort(key=lambda h: h.sort_key)
+        ]
+        pool.sort(key=_by_rank)
         beam = pool[: config.beam_size]
         finished = [h for h in beam if h.finished]
-        live = sorted((h for h in beam if not h.finished), key=lambda h: h.ids)
-    beam.sort(key=lambda h: h.sort_key)
+        live = sorted((h for h in beam if not h.finished), key=_by_index)
+    beam.sort(key=_by_rank)
     return beam[:n_best]
 
 

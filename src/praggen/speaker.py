@@ -38,7 +38,7 @@ from .core import (
     log_softmax,
 )
 
-RowSource = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
+RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray, np.ndarray]]
 
 # NGramSpeaker.row_source normalizes a stack of up to this many entries whole,
 # at 10-20 ns an entry; a larger one, row by row at 15-30 us a call.
@@ -55,9 +55,10 @@ class SpeakerModel(ABC):
     A decoder gets its step rows from ``row_source(contexts)``, asked once
     per decode: a function from ``n`` prefixes to their (n, L, V) rows
     under the decode's ``L`` contexts, equal bit for bit to
-    ``step_logprobs_ctx``. The default stacks ``step_logprobs_ctx`` calls;
-    a speaker whose rows come from a fixed table can build each row once
-    per decode instead.
+    ``step_logprobs_ctx``, and their (n, V) base rows, equal bit for bit to
+    ``log_softmax(rows[:, 0])``. The default stacks ``step_logprobs_ctx``
+    calls; a speaker whose rows come from a fixed table can build each row
+    and base row once per decode instead.
     """
 
     vocab_size: int
@@ -75,11 +76,15 @@ class SpeakerModel(ABC):
 
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
         """The step rows of one decode under ``contexts``: a function from
-        ``n`` prefixes to their (n, L, V) rows, whose row ``[i, j]`` is
-        ``step_logprobs_ctx(contexts[j], prefixes[i])``."""
-        return lambda prefixes: np.array(
-            [[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes]
-        )
+        ``n`` prefixes to ``(rows, base)``, whose (n, L, V) row ``[i, j]`` is
+        ``step_logprobs_ctx(contexts[j], prefixes[i])`` and whose (n, V)
+        ``base`` is ``log_softmax(rows[:, 0])``."""
+
+        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+            block = np.array([[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes])
+            return block, log_softmax(block[:, 0])
+
+        return rows
 
 
 class NGramSpeaker(SpeakerModel):
@@ -112,6 +117,7 @@ class NGramSpeaker(SpeakerModel):
         self.eos_id = EOS_ID
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
+        self._plain_base: np.ndarray | None = None  # log_softmax of the table
 
     # ── training ────────────────────────────────────────────────────────
 
@@ -133,7 +139,7 @@ class NGramSpeaker(SpeakerModel):
             nxt = seq[t]
             row = self.counts.setdefault(history, {})
             row[nxt] = row.get(nxt, 0) + 1
-        self._table = None
+        self._table = self._plain_base = None
 
     # ── scoring ─────────────────────────────────────
 
@@ -182,9 +188,11 @@ class NGramSpeaker(SpeakerModel):
         """Gather each step's rows from one (H+1, L, V) stack per decode: each
         table row under each context, copy bonus added and log-normalized as
         in ``step_logprobs_ctx``, up front or, past ``EAGER_STACK_SIZE``
-        entries, on its first gather. Once a prefix holds ``order - 1`` ids
-        one lookup finds its row under every context (the state-based query
-        of KenLM; Heafield 2011)."""
+        entries, on its first gather. The base rows come from an (H+1, V)
+        stack of the first context's rows normalized again, built along with
+        the stack, or once per speaker without a copy bonus. Once a prefix
+        holds ``order - 1`` ids one lookup finds its row under every context
+        (the state-based query of KenLM; Heafield 2011)."""
         index, table = self._window_table()
         span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
         shape = (len(table), len(contexts), table.shape[1])
@@ -192,21 +200,29 @@ class NGramSpeaker(SpeakerModel):
         done = None
         if self.copy_bonus == 0.0:
             stack = np.broadcast_to(table[:, None], shape)
+            if self._plain_base is None:
+                self._plain_base = log_softmax(table)
+            base = self._plain_base
         elif math.prod(shape) <= EAGER_STACK_SIZE:
             stack = log_softmax(table[:, None] + bonus)
+            base = log_softmax(stack[:, 0])
         else:
-            stack, done = np.empty(shape), set()
+            stack, base, done = np.empty(shape), np.empty(table.shape), set()
 
-        def rows(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
             if min(map(len, prefixes)) >= span:
-                at = visited = [index.get(p[-span:], unseen) for p in prefixes]
+                visited = [index.get(p[-span:], unseen) for p in prefixes]
+                at = first = np.array(visited)
             else:
                 visited = self._history_rows(index, contexts, prefixes)
+                first = np.array([v[0] for v in visited])
                 at, visited = (visited, columns), chain.from_iterable(visited)
             if done is not None and (fresh := list(set(visited) - done)):
                 stack[fresh] = log_softmax(table[fresh][:, None] + bonus)
+                base[fresh] = log_softmax(stack[fresh, 0])
                 done.update(fresh)
-            return stack[at]
+            # An index array gathers at a fraction of a list's cost.
+            return stack[at], base.take(first, 0)
 
         return rows
 

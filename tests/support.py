@@ -276,6 +276,25 @@ def reference_beam_decode(speaker, input, config, distractors=None):
     return beam
 
 
+def reference_pragmatic_block(rows, beliefs, alpha, true_index=0):
+    """``_pragmatic_block`` in the form it had when each token's mass was
+    always summed as one contiguous run of a transposed copy, and every
+    block went through the ``-inf`` mask."""
+    extended = rows + beliefs[:, :, None]
+    m = extended.max(axis=1)
+    finite = m > -math.inf
+    shift = np.where(finite, m, 0.0)
+    mass = np.exp(extended - shift[:, None, :]).transpose(0, 2, 1).copy()
+    sums = mass.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = shift + np.log(sums)
+        posterior = np.where(finite[:, None, :], extended - denom[:, None, :], -math.inf)
+    true_rows = rows[:, true_index]
+    if alpha == 0.0:
+        return log_softmax(true_rows), posterior
+    return log_softmax(alpha * posterior[:, true_index] + true_rows), posterior
+
+
 def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
     """The n-gram speaker's step row computed on its own.
 

@@ -233,6 +233,17 @@ def test_map_jobs_keeps_index_order_and_raises_the_first_failure(monkeypatch):
 
     with pytest.raises(ValueError, match="^job 5 failed$"):
         map_jobs(job, 20, 2)
+    # 40 jobs on 2 processes go in chunks of 5: job 7 fails in the middle of
+    # the second chunk, after its chunk's first jobs succeeded.
+    assert map_jobs(lambda i: i * i, 40, 2) == [i * i for i in range(40)]
+
+    def chunked_job(i):
+        if i in (7, 8, 21):
+            raise ValueError(f"job {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match="^job 7 failed$"):
+        map_jobs(chunked_job, 40, 2)
 
 
 # ── schemas ──────────────────────────────────────────────────────────────────

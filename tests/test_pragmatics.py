@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from praggen.cli import main as cli_main
-from praggen.core import BOS_ID, TokenSequence, load_schema
+from praggen.core import BOS_ID, TokenSequence, load_schema, log_softmax
 from praggen.data import delexicalize, read_jsonl
 from praggen.pragmatics import (
     MODE_BASE,
@@ -26,6 +26,7 @@ from praggen.pragmatics import (
     pragmatic_decode_distractor,
     rerank_reconstructor,
     _beam_decode,
+    _pragmatic_block,
 )
 import praggen.speaker as speaker_module
 from praggen.speaker import load_speaker
@@ -43,6 +44,7 @@ from support import (
     random_speaker,
     reference_beam_decode,
     reference_ngram_row,
+    reference_pragmatic_block,
     stationary_tables,
 )
 
@@ -459,6 +461,29 @@ def assert_same_beam(speaker, input, config, distractors=None, n_best=None):
             assert bits(g.beliefs) == bits(w.beliefs)
 
 
+@pytest.mark.parametrize("inputs", range(2, 10))
+def test_pragmatic_block_matches_the_transposed_sum_bit_for_bit(inputs):
+    # Below 8 inputs the block adds each token's mass left to right, the
+    # order in which numpy sums a short contiguous run; a numpy that sums
+    # such a run in another order fails here instead of moving the last
+    # bits of written scores. Rows with tokens that every input rules out
+    # take the masked path, the others the unmasked one.
+    rng = np.random.default_rng(inputs)
+    for rows_inf, beliefs_inf, alpha in product((False, True), (False, True), (0.0, 1.0)):
+        rows = rng.normal(scale=3.0, size=(6, inputs, 40))
+        beliefs = np.log(rng.dirichlet(np.ones(inputs), size=6))
+        if rows_inf:
+            rows[rng.random(rows.shape) < 0.3] = -math.inf
+            rows[:, :, :3] = -math.inf
+            rows[:, 0, 3] = 0.0
+        if beliefs_inf:
+            beliefs[::2, -1] = -math.inf
+        got = _pragmatic_block(rows, beliefs, alpha)
+        want = reference_pragmatic_block(rows, beliefs, alpha)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 def rough_speaker(rng, inputs, vocab_size, eos_id, max_len):
     """Unnormalized tables drawn from four levels, one of them -inf.
 
@@ -529,7 +554,8 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
     # true input and a distractor, with and without the copy bonus, from a
     # stack normalized up front and from one normalized row by row. Each
     # length is gathered as one block, as in a decode, and all of them as
-    # one mixed block, which only reuses rows normalized before.
+    # one mixed block, which only reuses rows normalized before. Each
+    # block's base rows are its rows under the true input normalized again.
     speakers, mrs = synth_models
     mr = mrs[0]
     rng = random.Random(0)
@@ -550,7 +576,9 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
             rows = speaker.row_source(contexts)
             seen = set()
             for block in blocks + [prefixes]:
-                for prefix, stacked in zip(block, rows(block)):
+                stacks, base = rows(block)
+                assert base.tobytes() == log_softmax(stacks[:, 0]).tobytes()
+                for prefix, stacked in zip(block, stacks):
                     for ctx, row in zip(contexts, stacked):
                         want = speaker.step_logprobs_ctx(ctx, prefix).tobytes()
                         assert row.tobytes() == want

@@ -13,7 +13,9 @@ from praggen.core import (
     TokenSequence,
     Vocabulary,
     linearize_mr,
+    log_softmax,
 )
+import praggen.speaker as speaker_module
 from praggen.speaker import (
     NGramSpeaker,
     load_speaker,
@@ -287,7 +289,7 @@ def test_copy_bonus_never_boosts_sep():
 
 @pytest.mark.parametrize("copy_bonus", [0.0, 1.0])
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
-def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus):
+def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus, monkeypatch):
     rng = random.Random(order)
     vocab = Vocabulary.build([f"w{i}" for i in range(8)])
     words = [vocab.id(f"w{i}") for i in range(8)]
@@ -306,16 +308,21 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus):
     prefixes = [()] + [
         tuple(rng.choices(words, k=n)) for n in range(1, 7) for _ in range(4)
     ] + [o.ids[:n] for _, o in pairs[:6] for n in range(len(o.ids) + 1)]
-    block = model.row_source(contexts)(prefixes)
-    assert block.shape == (len(prefixes), len(contexts), len(vocab))
-    seen = set()
-    for prefix, rows in zip(prefixes, block):
-        for ctx, row in zip(contexts, rows):
-            want = reference_ngram_row(model, ctx, prefix)
-            assert row.tobytes() == want.tobytes()
-            assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
-            seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.counts)
-    assert seen == {True, False}
+    # The stack normalized up front and the one normalized row by row give
+    # the same rows, and base rows that are their first column normalized.
+    for eager_size in (math.inf, 0):
+        monkeypatch.setattr(speaker_module, "EAGER_STACK_SIZE", eager_size)
+        block, base = model.row_source(contexts)(prefixes)
+        assert block.shape == (len(prefixes), len(contexts), len(vocab))
+        assert base.tobytes() == log_softmax(block[:, 0]).tobytes()
+        seen = set()
+        for prefix, rows in zip(prefixes, block):
+            for ctx, row in zip(contexts, rows):
+                want = reference_ngram_row(model, ctx, prefix)
+                assert row.tobytes() == want.tobytes()
+                assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
+                seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.counts)
+        assert seen == {True, False}
 
 
 def test_training_after_scoring_rebuilds_the_rows():
