@@ -34,7 +34,6 @@ from .data import (
 )
 from .distractor import (
     DistractorPolicy,
-    ValueFrequencyTable,
     mask_all_distractor,
     mask_single_distractor,
     value_frequencies,
@@ -97,7 +96,6 @@ __all__ = [
     "SyntheticGrammar",
     "TokenSequence",
     "UnbuildableContextError",
-    "ValueFrequencyTable",
     "Vocabulary",
     "ablation_matrix",
     "beam_search",

@@ -56,13 +56,7 @@ from .listener import (
     train_attribute_listener,
     train_reverse_listener,
 )
-from .pragmatics import (
-    MODE_BASE,
-    MODE_DISTRACTOR,
-    MODE_RECONSTRUCTOR,
-    DecodeConfig,
-    generate,
-)
+from .pragmatics import MODE_DISTRACTOR, MODE_RECONSTRUCTOR, MODES, DecodeConfig, generate
 from .speaker import load_speaker, save_speaker, train_ngram_speaker
 
 
@@ -101,7 +95,6 @@ DEFAULTS: dict[str, object] = {
 
 _CONFIG_ALIASES = {"lambda": "lambda_"}
 
-_MODES = (MODE_BASE, MODE_RECONSTRUCTOR, MODE_DISTRACTOR)
 _LISTENER_TYPES = ("attribute-nb", "reverse")
 _METRIC_NAMES = ("bleu", "rouge", "coverage")
 
@@ -135,6 +128,12 @@ def _coerce(cfg: dict, key: str, kind: type) -> None:
         raise UsageError(f"setting {key!r} must be a {kind.__name__}") from None
 
 
+def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
+    """The decode settings of ``cfg``; ``DecodeConfig`` owns their rules."""
+    keys = ("beam_size", "max_len", "lambda_", "alpha")
+    return DecodeConfig(mode=mode, **{key: cfg[key] for key in keys})
+
+
 def _validate_settings(cfg: dict) -> None:
     for key in ("seed", "workers", "train_size", "dev_size", "test_size",
                 "order", "beam_size", "max_len"):
@@ -156,14 +155,10 @@ def _validate_settings(cfg: dict) -> None:
         raise UsageError("smoothing constants must be positive")
     if cfg["copy_bonus"] < 0.0:
         raise UsageError("copy_bonus must be non-negative")
-    if cfg["beam_size"] < 1 or cfg["max_len"] < 1:
-        raise UsageError("beam_size and max_len must be >= 1")
-    if not 0.0 <= cfg["lambda_"] <= 1.0:
-        raise UsageError("lambda must lie in [0, 1]")
-    if cfg["alpha"] < 0.0:
-        raise UsageError("alpha must be non-negative")
-    if cfg["mode"] not in _MODES:
-        raise UsageError(f"mode must be one of {', '.join(_MODES)}")
+    try:
+        _decode_config(cfg, cfg["mode"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cfg["listener_type"] not in _LISTENER_TYPES:
         raise UsageError(f"listener_type must be one of {', '.join(_LISTENER_TYPES)}")
     metrics = cfg["metrics"]
@@ -295,12 +290,6 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
-    """The decode settings of ``cfg``, which ``_validate_settings`` checked."""
-    keys = ("beam_size", "max_len", "lambda_", "alpha")
-    return DecodeConfig(mode=mode, **{key: cfg[key] for key in keys})
-
-
 def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     schema = _load("schema", args.schema, load_schema)
     speaker = _load("speaker", args.speaker, load_speaker, schema)
@@ -323,13 +312,11 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
 
     records = _read_records(args.data, schema)
     delexed = [delexicalize(r, schema) for r in records]
+    # Outside distractor mode the policy is ``none``, which yields no distractor.
     freqs = None
-    if mode == MODE_DISTRACTOR and policy.kind == POLICY_MASK_ALL:
+    if policy.kind == POLICY_MASK_ALL:
         freqs = value_frequencies([r.mr for r in delexed], schema)
-    jobs = [
-        (rec, policy.distractors(rec.mr, freqs=freqs) if mode == MODE_DISTRACTOR else [])
-        for rec in delexed
-    ]
+    jobs = [(rec, policy.distractors(rec.mr, freqs=freqs)) for rec in delexed]
 
     def decode(i: int) -> dict:
         rec, distractors = jobs[i]
@@ -473,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--speaker", required=True, help="speaker model path")
     gen.add_argument("--schema", required=True, help="attribute schema (JSON)")
     gen.add_argument("--out", required=True, help="predictions output path (JSONL)")
-    gen.add_argument("--mode", choices=list(_MODES))
+    gen.add_argument("--mode", choices=list(MODES))
     gen.add_argument("--listener", help="listener model (reconstructor mode)")
     gen.add_argument("--beam-size", type=int, dest="beam_size")
     gen.add_argument("--max-len", type=int, dest="max_len")

@@ -52,8 +52,8 @@ RESERVED_TOKENS: tuple[str, ...] = (
 
 PLACEHOLDER_TOKENS = frozenset({NAME_PLACEHOLDER, NEAR_PLACEHOLDER})
 
-# Structural ids stripped when rendering text. Placeholders stay verbatim.
-_STRUCTURAL_IDS = frozenset({BOS_ID, EOS_ID, SEP_ID})
+# Structural ids, left out of rendered text and listener bags; placeholders stay.
+STRUCTURAL_IDS = frozenset({BOS_ID, EOS_ID, SEP_ID})
 
 _PUNCT_RE = re.compile(r"([.,!?])")
 
@@ -204,7 +204,7 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
 
     Placeholder tokens are kept verbatim so relexicalization can find them.
     """
-    return " ".join(vocab.token(i) for i in seq.ids if i not in _STRUCTURAL_IDS)
+    return " ".join(vocab.token(i) for i in seq.ids if i not in STRUCTURAL_IDS)
 
 
 # ── numeric helpers ─────────────────────────────────────────────────────────

@@ -3,75 +3,52 @@
 A distractor is an alternative input the decoder should steer away from.
 For attribute-value inputs the useful alternatives come from masking:
 ``mask_all`` inverts the input (present attributes dropped, absent ones
-filled with their most frequent training value), ``mask_single`` removes
-one attribute so decoding is maximally pressured to realize it.
+filled with their most frequent value among the inputs being decoded),
+``mask_single`` removes one attribute so decoding is maximally pressured to
+realize it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .core import AttributeSchema, MeaningRepresentation
 
 
-@dataclass(frozen=True)
-class ValueFrequencyTable:
-    """Observed value counts per attribute, with deterministic argmax."""
-
-    schema: AttributeSchema
-    counts: dict[str, dict[str, int]]
-
-    def most_frequent(self, attribute: str) -> str:
-        """Highest-count value; ties prefer the schema's declared order.
-
-        An attribute never observed in training falls back to its first
-        declared value.
-        """
-        spec = self.schema.attribute(attribute)
-        observed = self.counts.get(attribute, {})
-        declared = {v: i for i, v in enumerate(spec.values)}
-        candidates = list(spec.values) + sorted(
-            v for v in observed if v not in declared
-        )
-        return min(
-            candidates,
-            key=lambda v: (
-                -observed.get(v, 0),
-                declared.get(v, len(declared)),
-                v,
-            ),
-        )
-
-
 def value_frequencies(
     mrs: Iterable[MeaningRepresentation], schema: AttributeSchema
-) -> ValueFrequencyTable:
-    """Tally how often each attribute value occurs across ``mrs``."""
-    counts: dict[str, dict[str, int]] = {spec.name: {} for spec in schema}
+) -> dict[str, str]:
+    """Each attribute's most frequent value across ``mrs``, in schema order.
+
+    Ties prefer the schema's declared order, then other observed values in
+    sorted order; an attribute never observed gets its first declared value.
+    """
+    counts: dict[str, Counter] = {spec.name: Counter() for spec in schema}
     for mr in mrs:
         for attr, value in mr.items():
             if not schema.has(attr):
                 raise ValueError(f"MR assigns unknown attribute {attr!r}")
-            row = counts[attr]
-            row[value] = row.get(value, 0) + 1
-    return ValueFrequencyTable(schema=schema, counts=counts)
+            counts[attr][value] += 1
+    fill = {}
+    for spec in schema:
+        observed = counts[spec.name]
+        candidates = [*spec.values, *sorted(set(observed) - set(spec.values))]
+        fill[spec.name] = max(candidates, key=lambda v: observed[v])
+    return fill
 
 
 def mask_all_distractor(
-    mr: MeaningRepresentation, freqs: ValueFrequencyTable
+    mr: MeaningRepresentation, fill: Mapping[str, str]
 ) -> MeaningRepresentation:
-    """Complement of ``mr``: absent attributes filled with frequent values.
+    """Complement of ``mr``: the attributes it lacks, set to their ``fill``
+    values (see ``value_frequencies``).
 
     Attributes the input assigns are left out entirely, so a fully
     specified input yields the empty distractor.
     """
-    filled = {
-        spec.name: freqs.most_frequent(spec.name)
-        for spec in freqs.schema
-        if spec.name not in mr
-    }
-    return MeaningRepresentation(filled)
+    return MeaningRepresentation({a: v for a, v in fill.items() if a not in mr})
 
 
 def mask_single_distractor(
@@ -120,9 +97,10 @@ class DistractorPolicy:
         return cls(text)
 
     def distractors(
-        self, input: object, *, freqs: ValueFrequencyTable | None = None
+        self, input: object, *, freqs: Mapping[str, str] | None = None
     ) -> list[object]:
-        """Distractor list for ``input``; may be empty."""
+        """Distractor list for ``input``; may be empty. ``freqs`` is
+        mask-all's fill map from ``value_frequencies``."""
         if self.kind == POLICY_NONE:
             return []
         if not isinstance(input, MeaningRepresentation):

@@ -27,7 +27,7 @@ from .core import (
 )
 from .data import CorpusRecord
 from .distractor import POLICY_MASK_SINGLE, DistractorPolicy
-from .pragmatics import MODE_BASE, MODE_DISTRACTOR, DecodeConfig, generate
+from .pragmatics import MODE_DISTRACTOR, DecodeConfig, generate
 from .speaker import SpeakerModel
 
 # ── BLEU ─────────────────────────────────────────────────────────────────────
@@ -128,20 +128,12 @@ class CoverageMatcher:
             return [normalize_words(p) for p in spec.lexicon] or [normalize_words(value)]
         return [normalize_words(value)]
 
-    @staticmethod
-    def _contains(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
-        if not phrase or len(phrase) > len(tokens):
-            return False
-        first = phrase[0]
-        span = len(phrase)
-        for i, tok in enumerate(tokens[: len(tokens) - span + 1]):
-            if tok == first and list(tokens[i : i + span]) == list(phrase):
-                return True
-        return False
-
     def mentions(self, attribute: str, value: str, text: str) -> bool:
-        tokens = normalize_words(text)
-        return any(self._contains(tokens, p) for p in self._phrases(attribute, value))
+        # Words never hold whitespace, so padded substring tests match whole words.
+        padded = f" {' '.join(normalize_words(text))} "
+        return any(
+            bool(p) and f" {' '.join(p)} " in padded for p in self._phrases(attribute, value)
+        )
 
 
 def coverage_ratio(
@@ -204,16 +196,16 @@ def ablation_matrix(
 ) -> dict[str, dict[str, float]]:
     """Coverage grid: one base row, then one row per masked attribute.
 
-    Every row covers every record. A masking row pairs each input with a
+    Every row covers every record. The base row is distractor mode's
+    fallback to the plain beam decode. A masking row pairs each input with a
     single distractor that drops the masked attribute; a record that never
-    assigns it has no distractor, and its masked decode would be the plain
-    beam decode, so it reuses the base row's output. Row-to-row differences
-    therefore isolate the masked attribute's effect. ``workers``: see ``map_jobs``.
+    assigns it has no distractor, would fall back too, and so reuses the base
+    row's output. Row-to-row differences therefore isolate the masked
+    attribute's effect. ``workers``: see ``map_jobs``.
     """
     cols = measured_attributes(schema)
     matcher = CoverageMatcher(schema)
-    base_config = replace(config, mode=MODE_BASE)
-    masked_config = replace(config, mode=MODE_DISTRACTOR)
+    config = replace(config, mode=MODE_DISTRACTOR)
 
     def row(texts: list[str]) -> dict[str, float]:
         return {c: coverage_ratio(records, texts, c, matcher) for c in cols}
@@ -221,7 +213,7 @@ def ablation_matrix(
     def record_texts(i: int) -> list[str]:
         """Record ``i``'s BASE text, then its text under each mask."""
         mr = records[i].mr
-        base_text = detokenize(generate(speaker, mr, base_config).output, vocab)
+        base_text = detokenize(generate(speaker, mr, config).output, vocab)
         texts = [base_text]
         for attribute in cols:
             policy = DistractorPolicy(POLICY_MASK_SINGLE, attribute=attribute)
@@ -229,7 +221,7 @@ def ablation_matrix(
             if not distractors:
                 texts.append(base_text)
                 continue
-            cand = generate(speaker, mr, masked_config, distractors=distractors)
+            cand = generate(speaker, mr, config, distractors=distractors)
             texts.append(detokenize(cand.output, vocab))
         return texts
 

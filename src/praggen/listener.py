@@ -23,9 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    BOS_ID,
     EOS_ID,
-    SEP_ID,
+    STRUCTURAL_IDS,
     AttributeSchema,
     MeaningRepresentation,
     TokenSequence,
@@ -50,11 +49,9 @@ from .speaker import (
 
 ABSENT_CLASS = "__absent__"
 
-_EXCLUDED_BAG_IDS = frozenset({BOS_ID, EOS_ID, SEP_ID})
-
 
 def _bag_ids(output: TokenSequence) -> list[int]:
-    return [i for i in output.ids if i not in _EXCLUDED_BAG_IDS]
+    return [i for i in output.ids if i not in STRUCTURAL_IDS]
 
 
 class AttributeClassifierListener:

@@ -54,7 +54,7 @@ MODE_BASE = "base"
 MODE_RECONSTRUCTOR = "reconstructor"
 MODE_DISTRACTOR = "distractor"
 
-_MODES = (MODE_BASE, MODE_RECONSTRUCTOR, MODE_DISTRACTOR)
+MODES = (MODE_BASE, MODE_RECONSTRUCTOR, MODE_DISTRACTOR)
 
 
 class BeliefCollapseError(ValueError):
@@ -87,8 +87,8 @@ class DecodeConfig:
             raise ValueError("lambda_ must lie in [0, 1]")
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and non-negative")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +346,18 @@ def _beam_decode(
 # ── public decoding operations ──────────────────────────────────────────────
 
 
+def _candidate(speaker: SpeakerModel, h: _Hypothesis) -> ScoredCandidate:
+    """The candidate of one engine hypothesis; one that tracked beliefs also
+    reports the true input's final log-belief and its pragmatic score."""
+    tracked = h.beliefs is not None
+    return ScoredCandidate(
+        output=TokenSequence(h.ids, eos_id=speaker.eos_id),
+        base_logprob=h.base,
+        listener_logprob=float(h.beliefs[0]) if tracked else None,
+        combined_score=h.score if tracked else None,
+    )
+
+
 def beam_search(
     speaker: SpeakerModel, input: object, config: DecodeConfig
 ) -> list[ScoredCandidate]:
@@ -355,22 +367,7 @@ def beam_search(
     ``max_len`` tokens long, sorted by base score with ties broken by
     lexicographic token ids.
     """
-    return _base_candidates(speaker, input, config)
-
-
-def _base_candidates(
-    speaker: SpeakerModel,
-    input: object,
-    config: DecodeConfig,
-    n_best: int | None = None,
-) -> list[ScoredCandidate]:
-    return [
-        ScoredCandidate(
-            output=TokenSequence(h.ids, eos_id=speaker.eos_id),
-            base_logprob=h.base,
-        )
-        for h in _beam_decode(speaker, input, config, n_best=n_best)
-    ]
+    return [_candidate(speaker, h) for h in _beam_decode(speaker, input, config)]
 
 
 def rerank_reconstructor(
@@ -423,12 +420,7 @@ def pragmatic_decode_distractor(
             "use base mode when the policy yields none"
         )
     top = _beam_decode(speaker, input, config, distractors=list(distractors), n_best=1)[0]
-    return ScoredCandidate(
-        output=TokenSequence(top.ids, eos_id=speaker.eos_id),
-        base_logprob=top.base,
-        listener_logprob=float(top.beliefs[0]),
-        combined_score=top.score,
-    )
+    return _candidate(speaker, top)
 
 
 def generate(
@@ -453,6 +445,4 @@ def generate(
         return rerank_reconstructor(input, candidates, listener, config.lambda_)[0]
     if config.mode == MODE_DISTRACTOR and distractors:
         return pragmatic_decode_distractor(speaker, input, distractors, config)
-    if config.mode in (MODE_BASE, MODE_DISTRACTOR):
-        return _base_candidates(speaker, input, config, n_best=1)[0]
-    raise ValueError(f"unknown decode mode {config.mode!r}")
+    return _candidate(speaker, _beam_decode(speaker, input, config, n_best=1)[0])

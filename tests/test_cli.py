@@ -284,6 +284,27 @@ def test_generate_config_file_resolution(ws, tmp_path):
     assert run(*common, "--config", tmp_path / "absent.json") == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--max-len", 0]),
+    ("generate", ["--lambda", 1.5]),
+    ("generate", ["--alpha", -1]),
+    ("generate", ["--alpha", "nan"]),
+    ("ablate", ["--max-len", 0]),
+    ("generate", ["--config", '{"mode": "greedy"}']),
+], ids=["max-len", "lambda", "alpha-negative", "alpha-nan", "ablate-max-len", "config-mode"])
+def test_decode_setting_refusals_are_usage_errors(ws, tmp_path, capsys, command, flags):
+    if flags[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(flags[1], encoding="utf-8")
+        flags = ["--config", config]
+    out = tmp_path / "out"
+    assert run(command, "--data", ws["dev"], "--speaker", ws["speaker"],
+               "--schema", ws["schema"], "--out", out, *flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 # ── evaluate ─────────────────────────────────────────────────────────────────
 
 

@@ -3,7 +3,6 @@ import pytest
 from praggen.core import MeaningRepresentation, NAME_PLACEHOLDER
 from praggen.distractor import (
     DistractorPolicy,
-    ValueFrequencyTable,
     mask_all_distractor,
     mask_single_distractor,
     value_frequencies,
@@ -26,15 +25,18 @@ def tallied():
     return schema, value_frequencies(mrs, schema)
 
 
-# ── frequency table ──────────────────────────────────────────────────────────
+# ── fill map ─────────────────────────────────────────────────────────────────
 
 
 def test_value_frequencies_hand_tally():
     schema, freqs = tallied()
-    assert freqs.counts["area"] == {"riverside": 2, "city centre": 1}
-    assert freqs.counts["priceRange"] == {"cheap": 1}
-    assert freqs.counts["familyFriendly"] == {"no": 1}
-    assert freqs.counts["name"] == {}
+    assert freqs == {
+        "name": NAME_PLACEHOLDER,
+        "area": "riverside",
+        "priceRange": "cheap",
+        "familyFriendly": "no",
+    }
+    assert list(freqs) == [spec.name for spec in schema]
 
 
 def test_value_frequencies_rejects_unknown_attributes():
@@ -45,8 +47,8 @@ def test_value_frequencies_rejects_unknown_attributes():
 
 def test_most_frequent_picks_the_highest_count():
     schema, freqs = tallied()
-    assert freqs.most_frequent("area") == "riverside"
-    assert freqs.most_frequent("familyFriendly") == "no"
+    assert freqs["area"] == "riverside"
+    assert freqs["familyFriendly"] == "no"
 
 
 def test_most_frequent_breaks_ties_by_declared_order():
@@ -54,14 +56,14 @@ def test_most_frequent_breaks_ties_by_declared_order():
     freqs = value_frequencies(
         [mr(area="city centre"), mr(area="riverside")], schema
     )
-    assert freqs.most_frequent("area") == "riverside"
+    assert freqs["area"] == "riverside"
 
 
 def test_most_frequent_falls_back_to_the_first_declared_value():
     schema = small_schema()
     freqs = value_frequencies([mr(area="riverside")], schema)
     # priceRange never observed
-    assert freqs.most_frequent("priceRange") == "cheap"
+    assert freqs["priceRange"] == "cheap"
 
 
 def test_most_frequent_counts_raw_delexicalized_values():
@@ -69,13 +71,10 @@ def test_most_frequent_counts_raw_delexicalized_values():
     freqs = value_frequencies(
         [mr(name="Fitzbillies"), mr(name="Fitzbillies"), mr(name="Aromi")], schema
     )
-    assert freqs.most_frequent("name") == "Fitzbillies"
-
-
-def test_frequency_table_direct_construction():
-    schema = small_schema()
-    table = ValueFrequencyTable(schema=schema, counts={"area": {"city centre": 3}})
-    assert table.most_frequent("area") == "city centre"
+    assert freqs["name"] == "Fitzbillies"
+    # undeclared values that tie are taken in sorted order
+    freqs = value_frequencies([mr(name="Fitzbillies"), mr(name="Aromi")], schema)
+    assert freqs["name"] == "Aromi"
 
 
 # ── masking ──────────────────────────────────────────────────────────────────

@@ -195,6 +195,14 @@ def test_matcher_requires_contiguous_mentions():
     assert not matcher.mentions("area", "city centre", "the centre of the city .")
 
 
+def test_matcher_matches_whole_words_only():
+    matcher = CoverageMatcher(small_schema())
+    assert not matcher.mentions("priceRange", "cheap", "cheaper .")
+    assert not matcher.mentions("area", "city centre", "the city centres .")
+    assert matcher.mentions("area", "city centre", "city centre is near")
+    assert matcher.mentions("area", "riverside", "it is by the riverside")
+
+
 def test_matcher_is_case_and_punctuation_insensitive():
     matcher = CoverageMatcher(small_schema())
     assert matcher.mentions("area", "riverside", "Riverside, naturally!")
