@@ -1,7 +1,6 @@
 """Command line pipeline: synth, train, generate, evaluate, ablate.
 
-Settings resolve in a fixed order: built-in defaults, then the ``--config``
-JSON file, then explicit flags.
+Settings resolve in two layers: built-in defaults, then explicit flags.
 Exit codes are 0 for success, 2 for usage or validation problems, and 3
 for runtime or data errors. All outputs are written deterministically, so
 a rerun with the same inputs is byte-identical.
@@ -61,7 +60,7 @@ from .speaker import load_speaker, save_speaker, train_ngram_speaker
 
 
 class UsageError(Exception):
-    """Bad arguments or configuration; exit code 2."""
+    """Bad arguments or settings; exit code 2."""
 
 
 class DataError(Exception):
@@ -70,8 +69,8 @@ class DataError(Exception):
 
 _DECODE_DEFAULTS = DecodeConfig()
 
-# Every knob a config file may set. Paths are deliberately not
-# configurable: they are per-invocation and stay on the command line.
+# The default of every setting a flag may override. Paths have no
+# default: they are per-invocation and always given on the command line.
 DEFAULTS: dict[str, object] = {
     "seed": 13,
     "workers": 1,
@@ -90,42 +89,12 @@ DEFAULTS: dict[str, object] = {
     "lambda_": _DECODE_DEFAULTS.lambda_,
     "alpha": _DECODE_DEFAULTS.alpha,
     "distractor_policy": POLICY_NONE,
-    "metrics": "bleu,rouge,coverage",
 }
 
-_CONFIG_ALIASES = {"lambda": "lambda_"}
-
 _LISTENER_TYPES = ("attribute-nb", "reverse")
-_METRIC_NAMES = ("bleu", "rouge", "coverage")
 
 
 # ── settings resolution ─────────────────────────────────────────────────────
-
-
-def _load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc.msg}") from None
-    if not isinstance(payload, dict):
-        raise UsageError("config file must hold a JSON object")
-    resolved = {}
-    for key, value in payload.items():
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in DEFAULTS:
-            raise UsageError(f"unknown config key {key!r}")
-        resolved[key] = value
-    return resolved
-
-
-def _coerce(cfg: dict, key: str, kind: type) -> None:
-    try:
-        cfg[key] = kind(cfg[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"setting {key!r} must be a {kind.__name__}") from None
 
 
 def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
@@ -135,11 +104,7 @@ def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
 
 
 def _validate_settings(cfg: dict) -> None:
-    for key in ("seed", "workers", "train_size", "dev_size", "test_size",
-                "order", "beam_size", "max_len"):
-        _coerce(cfg, key, int)
     for key in ("omission_rate", "k", "copy_bonus", "listener_k", "lambda_", "alpha"):
-        _coerce(cfg, key, float)
         if not math.isfinite(cfg[key]):
             raise UsageError(f"setting {key!r} must be finite")
     if cfg["workers"] < 1:
@@ -159,23 +124,10 @@ def _validate_settings(cfg: dict) -> None:
         _decode_config(cfg, cfg["mode"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if cfg["listener_type"] not in _LISTENER_TYPES:
-        raise UsageError(f"listener_type must be one of {', '.join(_LISTENER_TYPES)}")
-    metrics = cfg["metrics"]
-    if isinstance(metrics, str):
-        metrics = [m.strip() for m in metrics.split(",") if m.strip()]
-    if not isinstance(metrics, list) or not metrics:
-        raise UsageError("metrics must name at least one metric")
-    for m in metrics:
-        if m not in _METRIC_NAMES:
-            raise UsageError(f"unknown metric {m!r}; choose from {', '.join(_METRIC_NAMES)}")
-    cfg["metrics"] = metrics
 
 
 def _settings(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -382,13 +334,11 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         raise UsageError("data and predictions do not match; " + "; ".join(parts))
     hyps = [predictions[r.id]["output"] for r in records]
     refs = [r.reference for r in records]
-    report: dict[str, object] = {}
-    if "bleu" in cfg["metrics"]:
-        report["bleu"] = bleu(refs, hyps)
-    if "rouge" in cfg["metrics"]:
-        report["rouge_l"] = rouge_l(refs, hyps)
-    if "coverage" in cfg["metrics"]:
-        report["coverage"] = coverage_report(records, hyps, schema)
+    report = {
+        "bleu": bleu(refs, hyps),
+        "rouge_l": rouge_l(refs, hyps),
+        "coverage": coverage_report(records, hyps, schema),
+    }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
@@ -417,10 +367,6 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
 # ── parser ──────────────────────────────────────────────────────────────────
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of settings; flags override it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="praggen",
@@ -430,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="write a synthetic corpus")
-    _add_common(synth)
     synth.add_argument("--seed", type=int, help="random seed")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--train-size", type=int, dest="train_size")
@@ -440,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chance a reference drops an assigned clause")
 
     train = sub.add_parser("train", help="train speaker (and optional listener)")
-    _add_common(train)
     train.add_argument("--data", required=True, help="training records (JSONL)")
     train.add_argument("--schema", required=True, help="attribute schema (JSON)")
     train.add_argument("--out", required=True, help="speaker model output path")
@@ -455,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--listener-k", type=float, dest="listener_k")
 
     gen = sub.add_parser("generate", help="decode inputs to text")
-    _add_common(gen)
     gen.add_argument("--data", required=True, help="records to decode (JSONL)")
     gen.add_argument("--speaker", required=True, help="speaker model path")
     gen.add_argument("--schema", required=True, help="attribute schema (JSON)")
@@ -473,15 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     ev = sub.add_parser("evaluate", help="score predictions against references")
-    _add_common(ev)
     ev.add_argument("--data", required=True, help="gold records (JSONL)")
     ev.add_argument("--predictions", required=True, help="predictions (JSONL)")
     ev.add_argument("--schema", required=True, help="attribute schema (JSON)")
-    ev.add_argument("--metrics", help="comma list from: bleu,rouge,coverage")
     ev.add_argument("--out", help="also write the JSON report here")
 
     ab = sub.add_parser("ablate", help="attribute-masking coverage matrix")
-    _add_common(ab)
     ab.add_argument("--data", required=True, help="records to decode (JSONL)")
     ab.add_argument("--speaker", required=True, help="speaker model path")
     ab.add_argument("--schema", required=True, help="attribute schema (JSON)")

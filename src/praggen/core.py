@@ -372,12 +372,15 @@ def schema_from_dict(payload: Mapping) -> AttributeSchema:
         raise ValueError("schema payload must contain an 'attributes' list") from None
     attrs = []
     for entry in raw_attrs:
+        name, values, lexicon = entry["name"], entry["values"], entry.get("lexicon", [])
+        if not isinstance(name, str):
+            raise ValueError(f"attribute name {name!r} is not a string")
+        for key, items in (("values", values), ("lexicon", lexicon)):
+            if not isinstance(items, list) or not all(isinstance(v, str) for v in items):
+                raise ValueError(f"attribute {name!r}: {key} must be a list of strings")
         attrs.append(
             AttributeSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                values=tuple(entry["values"]),
-                lexicon=tuple(entry.get("lexicon", ())),
+                name=name, kind=entry["kind"], values=tuple(values), lexicon=tuple(lexicon)
             )
         )
     return AttributeSchema(attributes=tuple(attrs))

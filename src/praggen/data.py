@@ -226,8 +226,10 @@ def generate_corpus(
 
 
 def _replace_surface(text: str, surface: str, replacement: str) -> str:
+    """``text`` with each whole-word ``surface`` replaced by ``replacement``,
+    inserted literally: a backslash in a name is not a regex escape."""
     pattern = r"(?<!\w)" + re.escape(surface) + r"(?!\w)"
-    return re.sub(pattern, replacement, text, flags=re.IGNORECASE)
+    return re.sub(pattern, lambda _: replacement, text, flags=re.IGNORECASE)
 
 
 def delexicalize(record: CorpusRecord, schema: AttributeSchema) -> CorpusRecord:

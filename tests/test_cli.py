@@ -1,11 +1,14 @@
+import argparse
 import importlib
 import json
 import multiprocessing.pool
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from praggen.cli import main
+from praggen.cli import build_parser, main
 from praggen.core import detokenize, load_schema
 from praggen.data import delexicalize, read_jsonl, relexicalize, write_jsonl
 from praggen.listener import load_listener
@@ -69,6 +72,25 @@ def test_no_command_is_a_usage_error():
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "synth" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = {flag for sub in subcommands for flag in sub._option_string_actions}
+    prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    assert set(re.findall(r"`(--[\w-]+)", prose)) <= flags
+    commands = [
+        line.strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("praggen ")
+    ]
+    assert commands
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_unknown_mode_is_rejected_by_the_parser(ws, tmp_path):
@@ -217,6 +239,18 @@ def test_generate_base_decode(ws, tmp_path):
         assert p["output"].strip()
 
 
+def test_generate_writes_a_backslashed_name_verbatim(ws, tmp_path):
+    record = json.loads(ws["dev"].read_text(encoding="utf-8").splitlines()[0])
+    name = "AC\\DC bar"
+    record["ref"] = record["ref"].replace(record["mr"]["name"], name)
+    record["mr"]["name"] = name
+    data, out = tmp_path / "acdc.jsonl", tmp_path / "p.jsonl"
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run("generate", "--data", data, "--speaker", ws["speaker"],
+               "--schema", ws["schema"], "--out", out) == 0
+    assert name in outputs_of(out)[0]
+
+
 def test_generate_reruns_and_worker_counts_agree(ws, tmp_path):
     args = ["generate", "--data", ws["dev"], "--speaker", ws["speaker"],
             "--schema", ws["schema"]]
@@ -262,46 +296,23 @@ def test_generate_usage_errors(ws, tmp_path):
                "--schema", ws["schema"], "--out", out) == 2
 
 
-def test_generate_config_file_resolution(ws, tmp_path):
-    out = tmp_path / "p.jsonl"
-    common = ["generate", "--data", ws["dev"], "--speaker", ws["speaker"],
-              "--schema", ws["schema"], "--out", out]
-
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text('{"beam_width": 5}', encoding="utf-8")
-    assert run(*common, "--config", unknown) == 2
-
-    invalid = tmp_path / "invalid.json"
-    invalid.write_text('{"beam_size": 0}', encoding="utf-8")
-    assert run(*common, "--config", invalid) == 2
-    # an explicit flag outranks the config file
-    assert run(*common, "--config", invalid, "--beam-size", 3) == 0
-
-    aliased = tmp_path / "aliased.json"
-    aliased.write_text('{"lambda": 0.25, "mode": "reconstructor"}', encoding="utf-8")
-    assert run(*common, "--config", aliased, "--listener", ws["listener"]) == 0
-
-    assert run(*common, "--config", tmp_path / "absent.json") == 2
-
-
 @pytest.mark.parametrize("command, flags", [
     ("generate", ["--max-len", 0]),
     ("generate", ["--lambda", 1.5]),
     ("generate", ["--alpha", -1]),
     ("generate", ["--alpha", "nan"]),
     ("ablate", ["--max-len", 0]),
-    ("generate", ["--config", '{"mode": "greedy"}']),
-], ids=["max-len", "lambda", "alpha-negative", "alpha-nan", "ablate-max-len", "config-mode"])
+    ("generate", ["--mode", "greedy"]),
+], ids=["max-len", "lambda", "alpha-negative", "alpha-nan", "ablate-max-len", "mode"])
 def test_decode_setting_refusals_are_usage_errors(ws, tmp_path, capsys, command, flags):
-    if flags[0] == "--config":
-        config = tmp_path / "config.json"
-        config.write_text(flags[1], encoding="utf-8")
-        flags = ["--config", config]
     out = tmp_path / "out"
     assert run(command, "--data", ws["dev"], "--speaker", ws["speaker"],
                "--schema", ws["schema"], "--out", out, *flags) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    if flags[0] == "--mode":  # argparse's `choices` refuses it, after the usage text
+        assert err[-1].startswith("praggen generate: error: argument --mode: invalid choice")
+    else:
+        assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 
@@ -329,18 +340,6 @@ def test_evaluate_self_scores_perfectly(ws, tmp_path, capsys):
     assert "macro" in report["coverage"]
     on_disk = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert on_disk == report
-
-
-def test_evaluate_metric_subset(ws, tmp_path, capsys):
-    preds = tmp_path / "echo.jsonl"
-    echo_predictions(read_jsonl(ws["dev"]), preds)
-    rc = run("evaluate", "--data", ws["dev"], "--predictions", preds,
-             "--schema", ws["schema"], "--metrics", "bleu")
-    assert rc == 0
-    assert set(json.loads(capsys.readouterr().out)) == {"bleu"}
-    rc = run("evaluate", "--data", ws["dev"], "--predictions", preds,
-             "--schema", ws["schema"], "--metrics", "accuracy")
-    assert rc == 2
 
 
 def test_evaluate_requires_matching_ids(ws, tmp_path, capsys):
@@ -494,10 +493,6 @@ def test_workers_is_a_flag_of_the_decode_commands_only(ws, tmp_path):
     evaluate = ["evaluate", "--data", ws["dev"], "--predictions", preds,
                 "--schema", ws["schema"]]
     assert run(*evaluate, "--workers", 2) == 2
-    # the config key stays valid for every command
-    config = tmp_path / "workers.json"
-    config.write_text('{"workers": 2}', encoding="utf-8")
-    assert run(*evaluate, "--config", config) == 0
 
 
 def test_seed_is_a_flag_of_synth_only(ws, tmp_path):
@@ -512,15 +507,18 @@ def test_seed_is_a_flag_of_synth_only(ws, tmp_path):
         [*decode_args(ws, "ablate"), "--out", tmp_path / "m.csv"],
     ):
         assert run(*argv, "--seed", 3) == 2
-    # the config key stays valid for every command
-    config = tmp_path / "seed.json"
-    config.write_text('{"seed": 3}', encoding="utf-8")
-    assert run(*evaluate, "--config", config) == 0
 
 
 def test_preset_is_not_a_flag(ws, tmp_path):
     out = tmp_path / "p.jsonl"
     assert run(*decode_args(ws, "generate"), "--out", out, "--preset", "mr") == 2
+    settings = tmp_path / "settings.json"
+    settings.write_text("{}", encoding="utf-8")
+    assert run(*decode_args(ws, "generate"), "--out", out, "--config", settings) == 2
+    preds = tmp_path / "echo.jsonl"
+    echo_predictions(read_jsonl(ws["dev"]), preds)
+    assert run("evaluate", "--data", ws["dev"], "--predictions", preds,
+               "--schema", ws["schema"], "--out", out, "--metrics", "bleu") == 2
     assert not out.exists()
 
 
@@ -625,6 +623,12 @@ def put(*path, value):
 @pytest.mark.parametrize("kind, edit", [
     pytest.param("schema", put("attributes", value=5), id="schema-attributes-int"),
     pytest.param("schema", put("attributes", value=[5]), id="schema-attribute-int"),
+    pytest.param("schema", put("attributes", 1, "values", value="pub"),
+                 id="schema-values-string"),
+    pytest.param("schema", lambda p: p["attributes"][1]["values"].append(5) or p,
+                 id="schema-value-int"),
+    pytest.param("schema", put("attributes", 6, "lexicon", value="kid friendly"),
+                 id="schema-lexicon-string"),
     pytest.param("speaker", put("counts", value=5), id="speaker-counts-int"),
     pytest.param("speaker", lambda p: [p], id="speaker-list"),
     pytest.param("speaker", put("counts", FIRST, "-1", value=1), id="speaker-token-negative"),

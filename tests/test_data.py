@@ -194,6 +194,12 @@ def test_relexicalize_round_trip():
     assert relexicalize(delexed.reference, delexed.delex_map) == record.reference
 
 
+def test_relexicalize_inserts_surfaces_literally():
+    delex_map = {NAME_PLACEHOLDER: "AC\\DC bar", NEAR_PLACEHOLDER: "the \\g<0> inn"}
+    text = f"{NAME_PLACEHOLDER} is near {NEAR_PLACEHOLDER} ."
+    assert relexicalize(text, delex_map) == "AC\\DC bar is near the \\g<0> inn ."
+
+
 # ── JSONL round trips ────────────────────────────────────────────────────────
 
 
