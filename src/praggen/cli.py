@@ -13,15 +13,16 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .core import (
     AttributeSchema,
+    TokenSequence,
     detokenize,
     load_schema,
     map_jobs,
+    normalize_words,
     schema_to_dict,
-    tokenize,
 )
 from .data import (
     CorpusRecord,
@@ -205,8 +206,10 @@ def _training_pairs(records: list[CorpusRecord], schema: AttributeSchema):
     if not records:
         raise UsageError("training data is empty")
     delexed = [delexicalize(r, schema) for r in records]
-    vocab = build_corpus_vocabulary(delexed, schema)
-    pairs = [(r.mr, tokenize(r.reference, vocab)) for r in delexed]
+    references = [normalize_words(r.reference) for r in delexed]
+    vocab = build_corpus_vocabulary(references, schema)
+    pairs = [(r.mr, TokenSequence(map(vocab.id, words)))
+             for r, words in zip(delexed, references)]
     return pairs, vocab
 
 
@@ -367,8 +370,15 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
 # ── parser ──────────────────────────────────────────────────────────────────
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with ``UsageError``, so they print as one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="praggen",
         description="Pragmatic text generation: synthesize data, train "
         "speaker and listener models, decode, and evaluate.",
@@ -444,14 +454,12 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace, dict], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         cfg = _settings(args)
         return _HANDLERS[args.command](args, cfg)
+    except SystemExit as exc:  # --help; argparse's refusals raise UsageError
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -55,8 +55,6 @@ PLACEHOLDER_TOKENS = frozenset({NAME_PLACEHOLDER, NEAR_PLACEHOLDER})
 # Structural ids, left out of rendered text and listener bags; placeholders stay.
 STRUCTURAL_IDS = frozenset({BOS_ID, EOS_ID, SEP_ID})
 
-_PUNCT_RE = re.compile(r"([.,!?])")
-
 
 class DegenerateDistributionError(ValueError):
     """Raised when a weight vector has no finite mass to normalize."""
@@ -76,9 +74,10 @@ def normalize_words(text: str) -> list[str]:
     recognized case-insensitively and emitted in canonical uppercase form.
     The punctuation marks ``. , ! ?`` become standalone tokens.
     """
-    spaced = _PUNCT_RE.sub(r" \1 ", text)
+    for mark in ".,!?":  # a pass adds only spaces, so no mark is spaced twice
+        text = text.replace(mark, f" {mark} ")
     words: list[str] = []
-    for raw in spaced.split():
+    for raw in text.split():
         upper = raw.upper()
         if upper in PLACEHOLDER_TOKENS:
             words.append(upper)
@@ -102,8 +101,8 @@ class TokenSequence:
     __slots__ = ("ids", "terminated")
 
     def __init__(self, ids: Iterable[int], eos_id: int = EOS_ID) -> None:
-        id_tuple = tuple(int(i) for i in ids)
-        if any(i < 0 for i in id_tuple):
+        id_tuple = tuple(map(int, ids))
+        if id_tuple and min(id_tuple) < 0:
             raise ValueError("token ids must be non-negative")
         if eos_id in id_tuple[:-1]:
             raise ValueError("EOS may only appear in final position")
@@ -456,6 +455,13 @@ def validate_mr(mr: MeaningRepresentation, schema: AttributeSchema) -> None:
             )
 
 
+@lru_cache(maxsize=4096)
+def _clause_words(attribute: str, value: str) -> tuple[str, ...]:
+    """The canonical words of one ``attribute value`` clause; the few schema
+    strings recur in every MR, so each pair is normalized once."""
+    return tuple(normalize_words(attribute) + normalize_words(value))
+
+
 def linearize_mr(
     mr: MeaningRepresentation, schema: AttributeSchema, vocab: Vocabulary
 ) -> TokenSequence:
@@ -470,7 +476,7 @@ def linearize_mr(
         value = mr.get(spec.name)
         if value is None:
             continue
-        for word in normalize_words(spec.name) + normalize_words(value):
+        for word in _clause_words(spec.name, value):
             try:
                 ids.append(vocab.id(word))
             except KeyError:

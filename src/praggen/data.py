@@ -18,8 +18,9 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     KIND_BOOLEAN,
@@ -32,7 +33,6 @@ from .core import (
     NEAR_PLACEHOLDER,
     PLACEHOLDER_TOKENS,
     Vocabulary,
-    normalize_words,
     validate_mr,
 )
 
@@ -225,11 +225,15 @@ def generate_corpus(
 # ── delexicalization ────────────────────────────────────────────────────────
 
 
+@lru_cache(maxsize=1024)
+def _surface_pattern(surface: str) -> re.Pattern:
+    return re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)", re.IGNORECASE)
+
+
 def _replace_surface(text: str, surface: str, replacement: str) -> str:
     """``text`` with each whole-word ``surface`` replaced by ``replacement``,
     inserted literally: a backslash in a name is not a regex escape."""
-    pattern = r"(?<!\w)" + re.escape(surface) + r"(?!\w)"
-    return re.sub(pattern, lambda _: replacement, text, flags=re.IGNORECASE)
+    return _surface_pattern(surface).sub(lambda _: replacement, text)
 
 
 def delexicalize(record: CorpusRecord, schema: AttributeSchema) -> CorpusRecord:
@@ -364,14 +368,15 @@ def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[
 
 
 def build_corpus_vocabulary(
-    records: Iterable[CorpusRecord], schema: AttributeSchema
+    references: Iterable[Sequence[str]], schema: AttributeSchema
 ) -> Vocabulary:
-    """Vocabulary over schema tokens plus every reference token.
+    """Vocabulary over schema tokens plus every word of the references, each
+    given as its ``normalize_words`` list.
 
-    Records should already be delexicalized so proper nouns stay out of
-    the vocabulary and placeholders stay in it.
+    The references should come from delexicalized records so proper nouns
+    stay out of the vocabulary and placeholders stay in it.
     """
     tokens: list[str] = schema.tokens()
-    for rec in records:
-        tokens.extend(normalize_words(rec.reference))
+    for words in references:
+        tokens.extend(words)
     return Vocabulary.build(tokens)

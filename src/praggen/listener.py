@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
@@ -76,8 +77,8 @@ class AttributeClassifierListener:
         self.class_counts: dict[str, dict[str, int]] = {
             name: {c: 0 for c in classes} for name, classes in self.classes.items()
         }
-        self.token_counts: dict[str, dict[str, dict[int, int]]] = {
-            name: {c: {} for c in classes} for name, classes in self.classes.items()
+        self.token_counts: dict[str, dict[str, Counter[int]]] = {
+            name: {c: Counter() for c in classes} for name, classes in self.classes.items()
         }
         # Each attribute's rows in the tables, which stack all classes.
         ends = accumulate(len(c) for c in self.classes.values())
@@ -103,9 +104,7 @@ class AttributeClassifierListener:
         for spec in self.schema:
             cls = self.classes[spec.name][self._class_index(mr, spec.name)]
             self.class_counts[spec.name][cls] += 1
-            row = self.token_counts[spec.name][cls]
-            for tok in bag:
-                row[tok] = row.get(tok, 0) + 1
+            self.token_counts[spec.name][cls].update(bag)
         self._log_tables = None
 
     # ── smoothed tables ─────────────────────────────────────────────────
@@ -263,5 +262,5 @@ def load_listener(
         listener.class_counts[attr].update(row)
     for attr, by_class in payload["token_counts"].items():
         for cls, row in by_class.items():
-            listener.token_counts[attr][cls] = read_counts(row, len(vocab))
+            listener.token_counts[attr][cls].update(read_counts(row, len(vocab)))
     return listener

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ def test_normalize_words_lowercases_and_splits_punctuation():
 def test_normalize_words_preserves_placeholders_case_insensitively():
     assert normalize_words("near Name_Plh today") == ["near", "NAME_PLH", "today"]
     assert normalize_words("NEAR_PLH!") == ["NEAR_PLH", "!"]
+
+
+def regex_normalize_words(text):
+    """The regex formulation of ``normalize_words``, kept as its reference."""
+    words = re.sub(r"([.,!?])", r" \1 ", text).split()
+    return [w.upper() if w.upper() in (NAME_PLACEHOLDER, NEAR_PLACEHOLDER) else w.lower()
+            for w in words]
+
+
+def mixed_case(word):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda fs: "".join(c.swapcase() if f else c for c, f in zip(word, fs)))
+
+
+TEXT_PIECES = st.one_of(
+    st.text(alphabet="aZ .,!?\t\n\u00a0éßÅçΣİ_", max_size=12),
+    st.sampled_from([NAME_PLACEHOLDER, NEAR_PLACEHOLDER]).flatmap(mixed_case),
+)
+
+
+@given(st.lists(TEXT_PIECES, max_size=8).map("".join))
+def test_normalize_words_equals_the_regex_formulation(text):
+    assert normalize_words(text) == regex_normalize_words(text)
 
 
 # ── token sequences ──────────────────────────────────────────────────────────
@@ -372,6 +396,18 @@ def test_linearize_is_injective_over_distinct_mrs():
     ]
     seen = {linearize_mr(mr, schema, vocab).ids for mr in mrs}
     assert len(seen) == len(mrs)
+
+
+def test_linearize_maps_one_mr_through_each_vocabularys_own_ids():
+    schema = small_schema()
+    plain = Vocabulary.build(schema.tokens())
+    shifted = Vocabulary.build(schema.tokens() + ["aardvark", "abacus"])
+    mr = MeaningRepresentation({"area": "city centre", "priceRange": "cheap"})
+    words = ["area", "city", "centre", "pricerange", "cheap"]
+    for vocab in (plain, shifted, plain):
+        expected = tuple(vocab.id(w) for w in words) + (SEP_ID,)
+        assert linearize_mr(mr, schema, vocab).ids == expected
+    assert linearize_mr(mr, schema, plain) != linearize_mr(mr, schema, shifted)
 
 
 def test_linearize_unknown_token_is_unbuildable():

@@ -7,6 +7,7 @@ from praggen.core import (
     NAME_PLACEHOLDER,
     NEAR_PLACEHOLDER,
     MeaningRepresentation,
+    normalize_words,
 )
 from praggen.data import (
     CorpusRecord,
@@ -302,6 +303,6 @@ def test_corpus_vocabulary_covers_schema_and_references():
             reference="a zebra friendly venue .",
         )
     ]
-    vocab = build_corpus_vocabulary(records, schema)
+    vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records], schema)
     for word in ("zebra", "venue", ".", "riverside", "familyfriendly", NAME_PLACEHOLDER):
         assert word in vocab

@@ -299,7 +299,7 @@ def ablation_fixture():
         record(3, texts["yes"], name=NAME_PLACEHOLDER, familyFriendly="yes"),
         record(4, texts["riverside"], name=NAME_PLACEHOLDER, area="riverside"),
     ]
-    vocab = build_corpus_vocabulary(records, schema)
+    vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records], schema)
     pairs = [(r.mr, tokenize(r.reference, vocab)) for r in records]
     speaker = train_ngram_speaker(pairs, 3, 0.1, vocab=vocab, schema=schema)
     return schema, vocab, records, speaker

@@ -16,6 +16,7 @@ from praggen.core import (
     TokenSequence,
     Vocabulary,
     linearize_mr,
+    normalize_words,
     tokenize,
 )
 from praggen.listener import (
@@ -194,7 +195,8 @@ def test_scores_match_the_per_attribute_reference_bit_for_bit():
     # structural ids included, against random MRs of the corpus.
     grammar = default_grammar()
     records = [delexicalize(r, grammar.schema) for r in generate_corpus(grammar, 300, 17)]
-    vocab = build_corpus_vocabulary(records, grammar.schema)
+    vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records],
+                                    grammar.schema)
     pairs = [(r.mr, tokenize(r.reference, vocab)) for r in records]
     listener = train_attribute_listener(pairs, grammar.schema, k=0.5, vocab=vocab)
     rng = random.Random(3)
