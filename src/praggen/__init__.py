@@ -47,11 +47,9 @@ from .evaluation import (
 )
 from .listener import (
     AttributeClassifierListener,
-    ReverseSpeakerListener,
     load_listener,
     save_listener,
     train_attribute_listener,
-    train_reverse_listener,
 )
 from .pragmatics import (
     BeliefCollapseError,
@@ -69,9 +67,7 @@ from .speaker import (
     NGramSpeaker,
     SpeakerModel,
     load_speaker,
-    next_token_logprobs,
     save_speaker,
-    sequence_logprob,
     train_ngram_speaker,
 )
 
@@ -90,7 +86,6 @@ __all__ = [
     "DistractorPolicy",
     "MeaningRepresentation",
     "NGramSpeaker",
-    "ReverseSpeakerListener",
     "ScoredCandidate",
     "SpeakerModel",
     "SyntheticGrammar",
@@ -115,7 +110,6 @@ __all__ = [
     "load_speaker",
     "mask_all_distractor",
     "mask_single_distractor",
-    "next_token_logprobs",
     "pragmatic_decode_distractor",
     "read_jsonl",
     "relexicalize",
@@ -123,11 +117,9 @@ __all__ = [
     "rouge_l",
     "save_listener",
     "save_speaker",
-    "sequence_logprob",
     "tokenize",
     "train_attribute_listener",
     "train_ngram_speaker",
-    "train_reverse_listener",
     "validate_mr",
     "value_frequencies",
     "write_jsonl",

@@ -50,12 +50,7 @@ from .evaluation import (
     rouge_l,
     write_ablation_csv,
 )
-from .listener import (
-    load_listener,
-    save_listener,
-    train_attribute_listener,
-    train_reverse_listener,
-)
+from .listener import load_listener, save_listener, train_attribute_listener
 from .pragmatics import MODE_DISTRACTOR, MODE_RECONSTRUCTOR, MODES, DecodeConfig, generate
 from .speaker import load_speaker, save_speaker, train_ngram_speaker
 
@@ -82,7 +77,6 @@ DEFAULTS: dict[str, object] = {
     "order": 3,
     "k": 0.1,
     "copy_bonus": 1.0,
-    "listener_type": "attribute-nb",
     "listener_k": 0.5,
     "mode": _DECODE_DEFAULTS.mode,
     "beam_size": _DECODE_DEFAULTS.beam_size,
@@ -91,8 +85,6 @@ DEFAULTS: dict[str, object] = {
     "alpha": _DECODE_DEFAULTS.alpha,
     "distractor_policy": POLICY_NONE,
 }
-
-_LISTENER_TYPES = ("attribute-nb", "reverse")
 
 
 # ── settings resolution ─────────────────────────────────────────────────────
@@ -232,16 +224,9 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     print(f"trained order-{cfg['order']} speaker on {len(pairs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
     if args.listener_out is not None:
-        if cfg["listener_type"] == "attribute-nb":
-            listener = train_attribute_listener(
-                pairs, schema, k=cfg["listener_k"], vocab=vocab
-            )
-        else:
-            listener = train_reverse_listener(
-                pairs, cfg["order"], cfg["k"], schema=schema, vocab=vocab
-            )
+        listener = train_attribute_listener(pairs, schema, k=cfg["listener_k"], vocab=vocab)
         save_listener(listener, _output_path(args.listener_out))
-        print(f"trained {cfg['listener_type']} listener, saved to {args.listener_out}")
+        print(f"trained attribute-nb listener, saved to {args.listener_out}")
     return 0
 
 
@@ -404,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log-linear bonus for tokens present in the input")
     train.add_argument("--listener-out", dest="listener_out",
                        help="also train a listener and save it here")
-    train.add_argument("--listener-type", dest="listener_type",
-                       choices=list(_LISTENER_TYPES))
     train.add_argument("--listener-k", type=float, dest="listener_k")
 
     gen = sub.add_parser("generate", help="decode inputs to text")

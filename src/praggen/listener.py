@@ -1,15 +1,11 @@
-"""Reconstruction listeners: given text, how recoverable is the input?
+"""Reconstruction listener: given text, how recoverable is the input?
 
-Two flavors share one contract (``reconstruction_logprob``):
-
-* :class:`AttributeClassifierListener` factorizes the input into one
-  multinomial naive Bayes classifier per schema attribute over the output's
-  bag of words. Each attribute's class set is its value set plus an
-  explicit absent class, so the scored joint over complete meaning
-  representations is a proper distribution.
-* :class:`ReverseSpeakerListener` reuses the speaker machinery in the
-  opposite direction, scoring the linearized input as a "translation" of
-  the output text.
+:class:`AttributeClassifierListener` factorizes the input into one
+multinomial naive Bayes classifier per schema attribute over the output's
+bag of words. Each attribute's class set is its value set plus an explicit
+absent class, so the scored joint over complete meaning representations is
+a proper distribution. ``reconstruction_logprob`` is the contract the
+reconstructor reranker calls.
 """
 
 from __future__ import annotations
@@ -24,29 +20,17 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    EOS_ID,
     STRUCTURAL_IDS,
     AttributeSchema,
     MeaningRepresentation,
     TokenSequence,
     Vocabulary,
     dump_json,
-    linearize_mr,
     log_softmax,
     schema_from_dict,
     schema_to_dict,
 )
-from .speaker import (
-    NGramSpeaker,
-    add_k_rows,
-    check_counts,
-    read_counts,
-    read_number,
-    sequence_logprob,
-    speaker_from_dict,
-    speaker_to_dict,
-    train_ngram_speaker,
-)
+from .speaker import add_k_rows, check_counts, read_counts, read_number
 
 ABSENT_CLASS = "__absent__"
 
@@ -154,24 +138,6 @@ class AttributeClassifierListener:
         return total
 
 
-class ReverseSpeakerListener:
-    """Reconstruction score from a speaker trained on swapped pairs.
-
-    The score of input ``i`` given output ``o`` is the reverse model's
-    sequence log-probability of ``i``'s context ids (EOS-terminated) with
-    ``o`` as its pre-context; the model's schema linearizes an MR input.
-    """
-
-    def __init__(self, model: NGramSpeaker) -> None:
-        self.model = model
-        self.schema = model.schema
-        self.vocab = model.vocab
-
-    def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
-        target = TokenSequence(self.model.context_ids(input) + (EOS_ID,))
-        return sequence_logprob(self.model, output, target)
-
-
 # ── module-level operations ─────────────────────────────────────────────────
 
 
@@ -192,64 +158,44 @@ def train_attribute_listener(
     return listener
 
 
-def train_reverse_listener(
-    corpus: Iterable[tuple[MeaningRepresentation, TokenSequence]],
-    order: int,
-    k: float,
-    *,
-    schema: AttributeSchema,
-    vocab: Vocabulary,
-) -> ReverseSpeakerListener:
-    """Train the swapped-pair speaker behind a reverse listener."""
-    swapped = ((output, linearize_mr(mr, schema, vocab)) for mr, output in corpus)
-    return ReverseSpeakerListener(
-        train_ngram_speaker(swapped, order, k, vocab=vocab, schema=schema)
-    )
-
-
 # ── serialization ───────────────────────────────────────────────────────────
 
 
-def save_listener(listener: object, path: str | Path) -> None:
+def save_listener(listener: AttributeClassifierListener, path: str | Path) -> None:
     """Serialize a listener, with its schema, to one deterministic JSON file."""
-    if isinstance(listener, ReverseSpeakerListener):
-        payload = {"type": "reverse", "model": speaker_to_dict(listener.model)}
-    elif isinstance(listener, AttributeClassifierListener):
-        payload = {
-            "type": "attribute-nb",
-            "k": listener.k,
-            "vocab": list(listener.vocab.tokens),
-            "priors": {
-                attr: dict(sorted(row.items()))
-                for attr, row in listener.class_counts.items()
-            },
-            "token_counts": {
-                attr: {
-                    cls: {str(t): c for t, c in sorted(row.items())}
-                    for cls, row in by_class.items()
-                }
-                for attr, by_class in listener.token_counts.items()
-            },
-        }
-    else:
+    if not isinstance(listener, AttributeClassifierListener):
         raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
-    payload["schema"] = schema_to_dict(listener.schema)
+    payload = {
+        "type": "attribute-nb",
+        "k": listener.k,
+        "vocab": list(listener.vocab.tokens),
+        "priors": {
+            attr: dict(sorted(row.items()))
+            for attr, row in listener.class_counts.items()
+        },
+        "token_counts": {
+            attr: {
+                cls: {str(t): c for t, c in sorted(row.items())}
+                for cls, row in by_class.items()
+            }
+            for attr, by_class in listener.token_counts.items()
+        },
+        "schema": schema_to_dict(listener.schema),
+    }
     dump_json(payload, Path(path))
 
 
 def load_listener(
     path: str | Path, schema: AttributeSchema | None = None
-) -> AttributeClassifierListener | ReverseSpeakerListener:
+) -> AttributeClassifierListener:
     """Load a serialized listener; its schema must equal ``schema`` if given."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("type")
-    if kind not in ("attribute-nb", "reverse"):
+    if kind != "attribute-nb":
         raise ValueError(f"unknown listener serialization type {kind!r}")
     loaded_schema = schema_from_dict(payload["schema"])
     if schema is not None and loaded_schema != schema:
         raise ValueError("listener schema differs from the given schema")
-    if kind == "reverse":
-        return ReverseSpeakerListener(speaker_from_dict(payload["model"], loaded_schema))
     vocab = Vocabulary(payload["vocab"])
     k = read_number("k", payload["k"])
     listener = AttributeClassifierListener(loaded_schema, vocab, k=k)

@@ -2,10 +2,10 @@
 
 A speaker assigns a log-probability vector over the whole vocabulary to the
 next output token, conditioned on an input (a meaning representation or a
-token sequence) and the generated prefix. The n-gram speaker scores through
-a single sliding window over ``[linearized input ; BOS ; prefix]``, so the
-input acts as pre-context for the first steps and the model falls back to a
-plain language model once the window has moved past it.
+tuple of context ids) and the generated prefix. The n-gram speaker scores
+through a single sliding window over ``[linearized input ; BOS ; prefix]``,
+so the input acts as pre-context for the first steps and the model falls
+back to a plain language model once the window has moved past it.
 
 That window design is deliberately underinformative. To keep the speaker
 weakly aware of its input at every step (without which downstream pragmatic
@@ -132,10 +132,10 @@ class NGramSpeaker(SpeakerModel):
         two streams share tokens.
         """
         ctx = self.context_ids(input)
-        seq = list(ctx) + [BOS_ID] + list(output.core_ids()) + [EOS_ID]
+        seq = (*ctx, BOS_ID, *output.core_ids(), EOS_ID)
         span = self.order - 1
         for t in range(len(ctx) + 1, len(seq)):
-            history = tuple(seq[max(0, t - span) : t])
+            history = seq[max(0, t - span) : t]
             nxt = seq[t]
             row = self.counts.setdefault(history, {})
             row[nxt] = row.get(nxt, 0) + 1
@@ -148,8 +148,6 @@ class NGramSpeaker(SpeakerModel):
             if self.schema is None:
                 raise ValueError("a schema is required to linearize MR inputs")
             return linearize_mr(input, self.schema, self.vocab).ids
-        if isinstance(input, TokenSequence):
-            return input.core_ids()
         if isinstance(input, (tuple, list)):
             return tuple(int(i) for i in input)
         raise TypeError(f"unsupported speaker input type {type(input).__name__}")
@@ -263,30 +261,6 @@ def train_ngram_speaker(
     return model
 
 
-def next_token_logprobs(
-    model: SpeakerModel, input: object, prefix: TokenSequence
-) -> np.ndarray:
-    """Next-token log-probability vector after ``prefix``.
-
-    ``prefix`` must be unterminated: nothing follows EOS.
-    """
-    if prefix.terminated:
-        raise ValueError("prefix is terminated; no next token exists")
-    return model.step_logprobs_ctx(model.context_ids(input), prefix.ids)
-
-
-def sequence_logprob(model: SpeakerModel, input: object, output: TokenSequence) -> float:
-    """Chain-rule log-probability of a terminated output, EOS step included."""
-    if not output.terminated:
-        raise ValueError("sequence_logprob requires an EOS-terminated output")
-    ctx = model.context_ids(input)
-    total = 0.0
-    for t, tok in enumerate(output.ids):
-        vec = model.step_logprobs_ctx(ctx, output.ids[:t])
-        total += float(vec[tok])
-    return total
-
-
 # ── serialization ───────────────────────────────────────────────────────────
 
 
@@ -313,27 +287,29 @@ def read_counts(row: dict, size: int) -> dict[int, int]:
     return parsed
 
 
-def speaker_to_dict(model: SpeakerModel) -> dict:
-    """The deterministic JSON payload of a speaker."""
-    if isinstance(model, NGramSpeaker):
-        return {
-            "type": "ngram",
-            "order": model.order,
-            "k": model.k,
-            "copy_bonus": model.copy_bonus,
-            "vocab": list(model.vocab.tokens),
-            "counts": {
-                ",".join(str(i) for i in history): {
-                    str(tok): cnt for tok, cnt in sorted(row.items())
-                }
-                for history, row in model.counts.items()
-            },
-        }
-    raise TypeError(f"cannot serialize speaker of type {type(model).__name__}")
+def save_speaker(model: SpeakerModel, path: str | Path) -> None:
+    """Serialize a speaker to deterministic JSON."""
+    if not isinstance(model, NGramSpeaker):
+        raise TypeError(f"cannot serialize speaker of type {type(model).__name__}")
+    payload = {
+        "type": "ngram",
+        "order": model.order,
+        "k": model.k,
+        "copy_bonus": model.copy_bonus,
+        "vocab": list(model.vocab.tokens),
+        "counts": {
+            ",".join(str(i) for i in history): {
+                str(tok): cnt for tok, cnt in sorted(row.items())
+            }
+            for history, row in model.counts.items()
+        },
+    }
+    dump_json(payload, Path(path))
 
 
-def speaker_from_dict(payload: dict, schema: AttributeSchema | None = None) -> NGramSpeaker:
-    """The speaker a :func:`speaker_to_dict` payload describes."""
+def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
+    """Load a serialized speaker."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("type")
     if kind != "ngram":
         raise ValueError(f"unknown speaker serialization type {kind!r}")
@@ -356,13 +332,3 @@ def speaker_from_dict(payload: dict, schema: AttributeSchema | None = None) -> N
             raise ValueError(f"history {key!r} does not fit order {order}")
         model.counts[history] = read_counts(row, model.vocab_size)
     return model
-
-
-def save_speaker(model: SpeakerModel, path: str | Path) -> None:
-    """Serialize a speaker to deterministic JSON."""
-    dump_json(speaker_to_dict(model), Path(path))
-
-
-def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
-    """Load a serialized speaker."""
-    return speaker_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), schema)

@@ -23,7 +23,7 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A small synthetic corpus with a trained speaker and both listener kinds."""
+    """A small synthetic corpus with a trained speaker and listener."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     assert (
@@ -43,10 +43,6 @@ def ws(tmp_path_factory):
         )
         == 0
     )
-    assert run("train", "--data", data / "train.jsonl", "--schema", data / "schema.json",
-               "--out", root / "reverse" / "speaker.json",
-               "--listener-out", root / "reverse" / "listener.json",
-               "--listener-type", "reverse") == 0
     return {
         "root": root,
         "schema": data / "schema.json",
@@ -54,7 +50,6 @@ def ws(tmp_path_factory):
         "dev": data / "dev.jsonl",
         "speaker": root / "model" / "speaker.json",
         "listener": root / "model" / "listener.json",
-        "reverse": root / "reverse" / "listener.json",
     }
 
 
@@ -173,23 +168,12 @@ def test_train_is_deterministic(ws, tmp_path):
     assert (tmp_path / "listener.json").read_bytes() == ws["listener"].read_bytes()
 
 
-def test_train_reverse_listener(ws, tmp_path):
-    rc = run(
-        "train", "--data", ws["train"], "--schema", ws["schema"],
-        "--out", tmp_path / "speaker.json",
-        "--listener-out", tmp_path / "rev.json", "--listener-type", "reverse",
-    )
-    assert rc == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["rev.json", "speaker.json"]
-
-
 @pytest.mark.parametrize("flags, speaker_sha, listener_sha", [
     ([], "ad737e4818488d49fc5d52b8649a99e5448a4f40f2a5e9f4bc8241cc3a0d556e",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
-    (["--order", 5, "--listener-type", "reverse"],
-     "8c5716672a7b59c11750b42c67a14e3c1998bbd9fa6728bdadf0d342821930f8",
-     "49770b49360afc42eb2de5ad7153e36fb22667941cea6c4a36a34c1588ecf502"),
-], ids=["defaults", "order5-reverse"])
+    (["--order", 5], "8c5716672a7b59c11750b42c67a14e3c1998bbd9fa6728bdadf0d342821930f8",
+     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+], ids=["defaults", "order5"])
 def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, listener_sha):
     # The digests pin the model files to the bytes training wrote when they
     # were recorded, so a faster training path must count exactly the same.
@@ -203,12 +187,11 @@ def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, lis
     assert hashlib.sha256(listener.read_bytes()).hexdigest() == listener_sha
 
 
-@pytest.mark.parametrize("listener_type", ["attribute-nb", "reverse"])
-def test_train_creates_missing_directories(ws, tmp_path, listener_type):
+def test_train_creates_missing_directories(ws, tmp_path):
     speaker, listener = tmp_path / "a" / "b" / "s.json", tmp_path / "c" / "d" / "l.json"
     rc = run(
         "train", "--data", ws["train"], "--schema", ws["schema"], "--out", speaker,
-        "--listener-out", listener, "--listener-type", listener_type,
+        "--listener-out", listener,
     )
     assert rc == 0
     assert speaker.is_file()
@@ -530,7 +513,7 @@ def test_seed_is_a_flag_of_synth_only(ws, tmp_path):
         assert run(*argv, "--seed", 3) == 2
 
 
-def test_preset_is_not_a_flag(ws, tmp_path):
+def test_preset_is_not_a_flag(ws, tmp_path, capsys):
     out = tmp_path / "p.jsonl"
     assert run(*decode_args(ws, "generate"), "--out", out, "--preset", "mr") == 2
     settings = tmp_path / "settings.json"
@@ -541,6 +524,13 @@ def test_preset_is_not_a_flag(ws, tmp_path):
     assert run("evaluate", "--data", ws["dev"], "--predictions", preds,
                "--schema", ws["schema"], "--out", out, "--metrics", "bleu") == 2
     assert not out.exists()
+    speaker, listener = tmp_path / "s.json", tmp_path / "l.json"
+    capsys.readouterr()
+    assert run("train", "--data", ws["train"], "--schema", ws["schema"], "--out", speaker,
+               "--listener-out", listener, "--listener-type", "reverse") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not speaker.exists() and not listener.exists()
 
 
 def test_generate_refuses_an_ensemble_speaker_file(ws, tmp_path, capsys):
@@ -576,32 +566,25 @@ def test_generate_refuses_a_listener_of_another_vocabulary(ws, tmp_path, capsys)
                    "listener vocabulary differs from the speaker's")
 
 
-@pytest.mark.parametrize("listener_type", ["attribute-nb", "reverse"])
-def test_generate_refuses_a_listener_of_another_schema(ws, tmp_path, capsys, listener_type):
-    listener = tmp_path / "listener.json"
-    assert run("train", "--data", ws["train"], "--schema", ws["schema"],
-               "--out", tmp_path / "speaker.json", "--listener-out", listener,
-               "--listener-type", listener_type) == 0
-    payload = json.loads(listener.read_text(encoding="utf-8"))
+def test_generate_refuses_a_listener_of_another_schema(ws, tmp_path, capsys):
+    payload = json.loads(ws["listener"].read_text(encoding="utf-8"))
     payload["schema"]["attributes"].reverse()
+    listener = tmp_path / "listener.json"
     listener.write_text(json.dumps(payload), encoding="utf-8")
     assert_refused(ws, tmp_path, capsys, listener,
                    "listener schema differs from the given schema")
 
 
-def test_generate_decodes_through_a_reverse_listener_file(ws, tmp_path):
-    listener, out = tmp_path / "rev.json", tmp_path / "p.jsonl"
-    assert run("train", "--data", ws["train"], "--schema", ws["schema"],
-               "--out", tmp_path / "speaker.json", "--listener-out", listener,
-               "--listener-type", "reverse") == 0
+def test_generate_decodes_through_a_listener_file(ws, tmp_path):
+    out = tmp_path / "p.jsonl"
     assert run(*decode_args(ws, "generate"), "--out", out, "--mode", "reconstructor",
-               "--listener", listener, "--lambda", 0.9) == 0
+               "--listener", ws["listener"], "--lambda", 0.9) == 0
     schema = load_schema(ws["schema"])
-    speaker, reverse = load_speaker(ws["speaker"], schema), load_listener(listener)
+    speaker, listener = load_speaker(ws["speaker"], schema), load_listener(ws["listener"])
     config = DecodeConfig(mode="reconstructor", lambda_=0.9)
     want = []
     for rec in (delexicalize(r, schema) for r in read_jsonl(ws["dev"])):
-        top = rerank_reconstructor(rec.mr, beam_search(speaker, rec.mr, config), reverse, 0.9)[0]
+        top = rerank_reconstructor(rec.mr, beam_search(speaker, rec.mr, config), listener, 0.9)[0]
         want.append({
             "id": rec.id,
             "output": relexicalize(detokenize(top.output, speaker.vocab), rec.delex_map),
@@ -641,6 +624,13 @@ def put(*path, value):
     return edit
 
 
+def reverse_model_listener(payload):
+    """A well-formed file of the reverse-model listener kind, which embedded an
+    n-gram speaker; praggen reads naive Bayes listener files only."""
+    model = {"type": "ngram", "order": 2, "k": 0.1, "vocab": payload["vocab"], "counts": {}}
+    return {"type": "reverse", "schema": payload["schema"], "model": model}
+
+
 @pytest.mark.parametrize("kind, edit", [
     pytest.param("schema", put("attributes", value=5), id="schema-attributes-int"),
     pytest.param("schema", put("attributes", value=[5]), id="schema-attribute-int"),
@@ -678,11 +668,7 @@ def put(*path, value):
     pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
                  id="listener-token-too-big"),
     pytest.param("listener", put("k", value="0.5"), id="listener-k-string"),
-    pytest.param("reverse", put("model", "counts", FIRST, "7", value=-5),
-                 id="reverse-count-negative"),
-    pytest.param("reverse", put("model", "counts", FIRST, "99999", value=1),
-                 id="reverse-token-too-big"),
-    pytest.param("reverse", put("model", "order", value=2.5), id="reverse-order-fractional"),
+    pytest.param("listener", reverse_model_listener, id="listener-type-reverse"),
     pytest.param("data", put("mr", value=5), id="record-mr-int"),
     pytest.param("data", put("delex", value=5), id="record-delex-int"),
     pytest.param("data", put("delex", "NAME_PLH", value=5), id="record-delex-value-int"),
@@ -693,7 +679,7 @@ def put(*path, value):
 ])
 def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
     sources = {"schema": ws["schema"], "speaker": ws["speaker"],
-               "listener": ws["listener"], "reverse": ws["reverse"], "data": ws["dev"],
+               "listener": ws["listener"], "data": ws["dev"],
                "predictions": tmp_path / "echo.jsonl"}
     echo_predictions(read_jsonl(ws["dev"]), sources["predictions"])
     source = sources[kind]
@@ -713,7 +699,7 @@ def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
                         "--predictions", files["predictions"]],
     }.get(kind, ["generate", "--data", files["data"], "--speaker", files["speaker"],
                  "--mode", "reconstructor",
-                 "--listener", files["reverse" if kind == "reverse" else "listener"]])
+                 "--listener", files["listener"]])
     assert run(*command, "--schema", files["schema"], "--out", out) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")

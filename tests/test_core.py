@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +425,23 @@ def test_linearize_unknown_token_is_unbuildable():
 def test_every_exported_name_resolves_and_the_list_is_sorted():
     assert [name for name in praggen.__all__ if not hasattr(praggen, name)] == []
     assert praggen.__all__ == sorted(praggen.__all__)
+
+
+def test_no_module_imports_an_unused_name():
+    """Every name a module imports is read somewhere in that module; the
+    package ``__init__`` only re-exports, so it is left out."""
+    unused = []
+    for path in sorted(Path(praggen.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -15,7 +15,6 @@ from praggen.core import (
     MeaningRepresentation,
     TokenSequence,
     Vocabulary,
-    linearize_mr,
     normalize_words,
     tokenize,
 )
@@ -25,7 +24,6 @@ from praggen.listener import (
     load_listener,
     save_listener,
     train_attribute_listener,
-    train_reverse_listener,
 )
 from praggen.data import (
     build_corpus_vocabulary,
@@ -33,8 +31,6 @@ from praggen.data import (
     delexicalize,
     generate_corpus,
 )
-from praggen.speaker import sequence_logprob
-
 from support import logsumexp, reference_reconstruction_logprob
 
 
@@ -254,54 +250,6 @@ def test_delexicalized_attribute_uses_placeholder_class():
     assert present[0] > absent[0]
 
 
-# ── reverse listener ─────────────────────────────────────────────────────────
-
-
-def reverse_setup():
-    schema = area_price_schema()
-    vocab = Vocabulary.build(schema.tokens() + ["spot"])
-    pairs = [
-        (
-            MeaningRepresentation({"area": "riverside"}),
-            tokenize("riverside spot", vocab),
-        ),
-        (
-            MeaningRepresentation({"area": "city centre", "priceRange": "high"}),
-            tokenize("city centre spot", vocab),
-        ),
-    ]
-    listener = train_reverse_listener(pairs, 2, 0.1, schema=schema, vocab=vocab)
-    return schema, vocab, pairs, listener
-
-
-def test_reverse_score_is_the_swapped_sequence_logprob():
-    schema, vocab, pairs, listener = reverse_setup()
-    mr, output = pairs[0]
-    target = TokenSequence(linearize_mr(mr, schema, vocab).ids + (EOS_ID,))
-    assert listener.reconstruction_logprob(mr, output) == sequence_logprob(
-        listener.model, output, target
-    )
-
-
-def test_reverse_listener_prefers_the_matching_input():
-    schema, vocab, pairs, listener = reverse_setup()
-    output = tokenize("riverside spot", vocab)
-    matching = listener.reconstruction_logprob(
-        MeaningRepresentation({"area": "riverside"}), output
-    )
-    mismatched = listener.reconstruction_logprob(
-        MeaningRepresentation({"area": "city centre"}), output
-    )
-    assert matching > mismatched
-
-
-def test_reverse_listener_rejects_empty_corpus():
-    schema = area_price_schema()
-    vocab = Vocabulary.build(schema.tokens())
-    with pytest.raises(ValueError, match="empty"):
-        train_reverse_listener([], 2, 0.1, schema=schema, vocab=vocab)
-
-
 # ── serialization ────────────────────────────────────────────────────────────
 
 
@@ -326,24 +274,8 @@ def test_attribute_listener_serialization_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_reverse_listener_round_trip_survives_directory_move(tmp_path):
-    schema, vocab, pairs, listener = reverse_setup()
-    sub = tmp_path / "models"
-    sub.mkdir()
-    save_listener(listener, sub / "listener.json")
-    assert [p.name for p in sub.iterdir()] == ["listener.json"]
-    moved = tmp_path / "elsewhere"
-    sub.rename(moved)
-    loaded = load_listener(moved / "listener.json")
-    assert loaded.schema == schema
-    mr, output = pairs[1]
-    assert loaded.reconstruction_logprob(mr, output) == listener.reconstruction_logprob(
-        mr, output
-    )
-
-
-def test_reverse_listener_load_refuses_another_schema(tmp_path):
-    schema, vocab, pairs, listener = reverse_setup()
+def test_listener_load_refuses_another_schema(tmp_path):
+    schema, vocab, pairs, listener = toy_setup()
     save_listener(listener, tmp_path / "l.json")
     reordered = AttributeSchema(attributes=tuple(reversed(schema.attributes)))
     with pytest.raises(ValueError, match="listener schema differs from the given schema"):

@@ -19,9 +19,7 @@ import praggen.speaker as speaker_module
 from praggen.speaker import (
     NGramSpeaker,
     load_speaker,
-    next_token_logprobs,
     save_speaker,
-    sequence_logprob,
     train_ngram_speaker,
 )
 
@@ -86,7 +84,7 @@ def test_single_pair_seen_history_smoothing():
     a = vocab.id("a")
     model = train_ngram_speaker([((), TokenSequence([a]))], 2, 0.5, vocab=vocab)
     # history (a,) saw exactly one continuation (EOS): c = total = 1
-    probs = np.exp(next_token_logprobs(model, (), TokenSequence([a])))
+    probs = np.exp(model.step_logprobs_ctx((), (a,)))
     v = len(vocab)
     assert probs[EOS_ID] == pytest.approx((1 + 0.5) / (1 + 0.5 * v), abs=1e-12)
     assert probs[a] == pytest.approx(0.5 / (1 + 0.5 * v), abs=1e-12)
@@ -94,7 +92,7 @@ def test_single_pair_seen_history_smoothing():
 
 def test_unseen_history_is_uniform():
     model, vocab, a, b = two_pair_model()
-    probs = np.exp(next_token_logprobs(model, (), TokenSequence([UNK_ID])))
+    probs = np.exp(model.step_logprobs_ctx((), (UNK_ID,)))
     assert np.allclose(probs, 1.0 / len(vocab), atol=1e-12)
 
 
@@ -143,10 +141,11 @@ def test_context_ids_accepts_mr_sequence_and_tuple():
     model = NGramSpeaker(order=2, k=0.1, vocab=vocab, schema=schema)
     mr = MeaningRepresentation({"area": "riverside"})
     assert model.context_ids(mr) == linearize_mr(mr, schema, vocab).ids
-    assert model.context_ids(TokenSequence([7, EOS_ID])) == (7,)
     assert model.context_ids((3, 4)) == (3, 4)
-    with pytest.raises(TypeError):
-        model.context_ids("raw text")
+    assert model.context_ids([3, 4]) == (3, 4)
+    for unsupported in ("raw text", TokenSequence([7, EOS_ID])):
+        with pytest.raises(TypeError):
+            model.context_ids(unsupported)
 
 
 def test_mr_context_requires_schema():
@@ -162,24 +161,18 @@ def test_step_vectors_normalize_and_repeat_bitwise():
     model, vocab, a, b = two_pair_model()
     rng = random.Random(5)
     for _ in range(50):
-        prefix = TokenSequence(rng.choices([a, b], k=rng.randrange(4)))
-        first = next_token_logprobs(model, (a,), prefix)
-        again = next_token_logprobs(model, (a,), prefix)
+        prefix = tuple(rng.choices([a, b], k=rng.randrange(4)))
+        first = model.step_logprobs_ctx((a,), prefix)
+        again = model.step_logprobs_ctx((a,), prefix)
         assert np.array_equal(first, again)
         assert abs(np.exp(first).sum() - 1.0) < 1e-9
 
 
 def test_step_vectors_are_immutable():
     model, vocab, a, b = two_pair_model()
-    vec = next_token_logprobs(model, (a,), TokenSequence([]))
+    vec = model.step_logprobs_ctx((a,), ())
     with pytest.raises(ValueError):
         vec[0] = 0.0
-
-
-def test_terminated_prefix_is_rejected():
-    model, vocab, a, b = two_pair_model()
-    with pytest.raises(ValueError, match="terminated"):
-        next_token_logprobs(model, (a,), TokenSequence([a, EOS_ID]))
 
 
 def test_increasing_k_drives_conditionals_toward_uniform():
@@ -190,7 +183,7 @@ def test_increasing_k_drives_conditionals_toward_uniform():
     divergences = []
     for k in (0.01, 0.1, 1.0, 10.0, 100.0):
         model = train_ngram_speaker(pairs, 2, k, vocab=vocab)
-        probs = np.exp(next_token_logprobs(model, (a,), TokenSequence([a])))
+        probs = np.exp(model.step_logprobs_ctx((a,), (a,)))
         divergences.append(float(np.sum(probs * np.log(probs / uniform))))
     assert all(x > y for x, y in zip(divergences, divergences[1:]))
 
@@ -202,7 +195,7 @@ def test_sequence_logprob_of_empty_output():
     k = 0.1
     model, vocab, a, b = two_pair_model(k=k)
     v = len(vocab)
-    got = sequence_logprob(model, (), TokenSequence([EOS_ID]))
+    got = model.step_logprobs_ctx(model.context_ids(()), ())[EOS_ID]
     # history (BOS,) has total 2 and no EOS observations
     assert got == pytest.approx(math.log(k / (2 + k * v)), abs=1e-12)
 
@@ -211,28 +204,15 @@ def test_sequence_logprob_matches_hand_product():
     k = 0.1
     model, vocab, a, b = two_pair_model(k=k)
     v = len(vocab)
-    got = sequence_logprob(model, (), TokenSequence([a, b, EOS_ID]))
-    hand = (
-        math.log((1 + k) / (2 + k * v))   # a after (BOS,)
-        + math.log((1 + k) / (1 + k * v))  # b after (a,)
-        + math.log((2 + k) / (2 + k * v))  # EOS after (b,)
-    )
+    ctx = model.context_ids(())
+    got = [model.step_logprobs_ctx(ctx, prefix)[tok]
+           for prefix, tok in (((), a), ((a,), b), ((a, b), EOS_ID))]
+    hand = [
+        math.log((1 + k) / (2 + k * v)),  # a after (BOS,)
+        math.log((1 + k) / (1 + k * v)),  # b after (a,)
+        math.log((2 + k) / (2 + k * v)),  # EOS after (b,)
+    ]
     assert got == pytest.approx(hand, abs=1e-12)
-
-
-def test_sequence_logprob_is_the_chain_rule_sum():
-    model, vocab, a, b = two_pair_model()
-    output = TokenSequence([a, a, b, EOS_ID])
-    total = 0.0
-    for t, tok in enumerate(output.ids):
-        total += float(next_token_logprobs(model, (b,), TokenSequence(output.ids[:t]))[tok])
-    assert sequence_logprob(model, (b,), output) == total
-
-
-def test_sequence_logprob_requires_termination():
-    model, vocab, a, b = two_pair_model()
-    with pytest.raises(ValueError, match="terminated"):
-        sequence_logprob(model, (a,), TokenSequence([a, b]))
 
 
 # ── copy bonus ───────────────────────────────────────────────────────────────
@@ -241,22 +221,22 @@ def test_sequence_logprob_requires_termination():
 def test_copy_bonus_zero_is_the_plain_model():
     plain, vocab, a, b = two_pair_model(copy_bonus=0.0)
     bonused, _, _, _ = two_pair_model(copy_bonus=1.0)
-    prefix = TokenSequence([a])
+    prefix = (a,)
     assert not np.array_equal(
-        next_token_logprobs(plain, (a,), prefix),
-        next_token_logprobs(bonused, (a,), prefix),
+        plain.step_logprobs_ctx((a,), prefix),
+        bonused.step_logprobs_ctx((a,), prefix),
     )
     rebuilt, _, _, _ = two_pair_model(copy_bonus=0.0)
     assert np.array_equal(
-        next_token_logprobs(plain, (a,), prefix),
-        next_token_logprobs(rebuilt, (a,), prefix),
+        plain.step_logprobs_ctx((a,), prefix),
+        rebuilt.step_logprobs_ctx((a,), prefix),
     )
 
 
 def test_copy_bonus_rows_still_normalize():
     model, vocab, a, b = two_pair_model(copy_bonus=2.0)
-    for prefix in (TokenSequence([]), TokenSequence([a]), TokenSequence([b, a])):
-        vec = next_token_logprobs(model, (a, b), prefix)
+    for prefix in ((), (a,), (b, a)):
+        vec = model.step_logprobs_ctx((a, b), prefix)
         assert abs(np.exp(vec).sum() - 1.0) < 1e-9
 
 
@@ -264,9 +244,9 @@ def test_copy_bonus_lifts_exactly_the_context_tokens():
     beta = 1.5
     plain, vocab, a, b = two_pair_model(copy_bonus=0.0)
     bonused, _, _, _ = two_pair_model(copy_bonus=beta)
-    prefix = TokenSequence([])
-    base = np.exp(next_token_logprobs(plain, (a,), prefix))
-    lifted = np.exp(next_token_logprobs(bonused, (a,), prefix))
+    prefix = ()
+    base = np.exp(plain.step_logprobs_ctx((a,), prefix))
+    lifted = np.exp(bonused.step_logprobs_ctx((a,), prefix))
     ratios = lifted / base
     assert ratios[a] == pytest.approx(math.exp(beta) * ratios[b], rel=1e-9)
     assert ratios[EOS_ID] == pytest.approx(ratios[b], rel=1e-9)
@@ -347,10 +327,10 @@ def test_ngram_round_trip_preserves_scores(tmp_path):
     assert loaded.copy_bonus == model.copy_bonus
     assert loaded.counts == model.counts
     assert loaded.vocab.tokens == vocab.tokens
-    for prefix in (TokenSequence([]), TokenSequence([a, b])):
+    for prefix in ((), (a, b)):
         assert np.array_equal(
-            next_token_logprobs(loaded, (a,), prefix),
-            next_token_logprobs(model, (a,), prefix),
+            loaded.step_logprobs_ctx((a,), prefix),
+            model.step_logprobs_ctx((a,), prefix),
         )
 
 
