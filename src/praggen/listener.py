@@ -113,7 +113,7 @@ class AttributeClassifierListener:
     def _class_scores(self, output: TokenSequence) -> np.ndarray:
         """Every class's prior plus the bag's token rows, added row by row in bag order."""
         prior, tok = self._tables()
-        return np.concatenate((prior[None, :], tok[_bag_ids(output)])).sum(axis=0)
+        return np.add.reduce(np.concatenate((prior[None, :], tok[_bag_ids(output)])), 0)
 
     def class_log_posteriors(self, attribute: str, output: TokenSequence) -> np.ndarray:
         """Log posterior over ``attribute``'s classes given the output bag."""
@@ -128,13 +128,13 @@ class AttributeClassifierListener:
             raise TypeError("the attribute listener scores meaning representations")
         scores = self._class_scores(output)
         tops = np.maximum.reduceat(scores, self._starts)
-        shifted = np.exp(scores - np.repeat(tops, self._sizes))
+        shifted = np.exp(scores - tops.repeat(self._sizes))
         values = scores.tolist()
         total = 0.0
         for spec, top in zip(self.schema, tops.tolist()):
             rows = self._rows[spec.name]
             idx = rows.start + self._class_index(input, spec.name)
-            total += values[idx] - (top + math.log(shifted[rows].sum()))
+            total += values[idx] - (top + math.log(np.add.reduce(shifted[rows])))
         return total
 
 

@@ -18,15 +18,19 @@ accumulation so that the degenerate settings (``alpha = 0``,
 ``lambda = 0``, or a distractor identical to the input) reproduce the base
 ranking bit for bit.
 
-The engine advances the whole beam per step. Its K live hypotheses are
-scored as one (K, L, V) block of speaker rows, one per hypothesis, input
-and token (L = 1 outside distractor mode), gathered from the speaker's
-``row_source`` for the decode with their base step rows, which the speaker
-normalizes once per decode. One function turns that block into pragmatic
-step scores and updated beliefs, as the public ``distractor_step_scores``
-and ``belief_update`` do. ``np.partition`` finds the ``beam_size``-th best
-score, and a stable lexsort orders only the finite entries that reach it,
-ties included; the best merge with the finished hypotheses.
+The engine advances the whole beam per step and holds it as parallel
+state, not as one object per hypothesis: the live ids in lexicographic
+order beside arrays of their scores, base scores and beliefs, and the
+finished entries as rank-ordered ``(-score, -base, ids, beliefs)``
+tuples. Its K live hypotheses are scored as one (K, V) block of base step
+rows from the speaker's ``row_source`` for the decode, which normalizes
+them once per decode; distractor mode also gathers the (K, L, V) block of
+rows, one per hypothesis, input and token. One function turns that block
+into pragmatic step scores and updated beliefs, as the public
+``distractor_step_scores`` and ``belief_update`` do. A partition finds the
+``beam_size``-th best score, and a stable sort orders only the finite
+entries that reach it, ties included; the best merge with the finished
+entries. Only the returned entries become objects.
 
 Step scores are log-softmax outputs, so they are at most 0 and cumulative
 scores never rise. A decode that returns only its top hypothesis (base
@@ -42,8 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import attrgetter
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,19 +240,14 @@ def distractor_step_scores(
 # ── beam engine ─────────────────────────────────────────────────────────────
 
 
-class _Hypothesis:
-    """One beam entry; ``index`` is its flat position (parent * V + token)
-    in the step block that chose it."""
+class _Hypothesis(NamedTuple):
+    """One returned beam entry."""
 
-    __slots__ = ("ids", "score", "base", "beliefs", "finished", "index", "sort_key")
-
-    def __init__(self, ids, score, base, beliefs=None, finished=False, index=0):
-        self.ids, self.score, self.base, self.beliefs = ids, score, base, beliefs
-        self.finished, self.index = finished, index
-        self.sort_key = (-score, -base, ids)
-
-
-_by_rank, _by_index = attrgetter("sort_key"), attrgetter("index")
+    ids: tuple[int, ...]
+    score: float
+    base: float
+    beliefs: np.ndarray | None
+    finished: bool
 
 
 def _beam_decode(
@@ -263,84 +262,93 @@ def _beam_decode(
     Returns the ``n_best`` best hypotheses (the whole beam by default),
     best first.
 
-    The live hypotheses are kept in lexicographic order of their ids, which
-    is the order of their flat indices (parent * V + token) in the block
-    that chose them: their parents were in id order and all share one
-    length. Each step gathers their scores, base scores and beliefs into
-    arrays, scores all of them at once as one (K, L, V) block and selects
-    the ``beam_size`` best finite expansions by a stable lexsort on (score,
-    base score) of only the entries at or above the ``beam_size``-th best
-    score; the block's row-major order breaks the remaining ties by ids,
-    because live hypotheses share one length. These are exactly the
+    The live beam is held as parallel state: its ids in lexicographic
+    order, and arrays of their scores, base scores and (distractor mode
+    only) (K, L) beliefs in the same order. Because the live ids share one length, that is also the
+    order of each expansion's flat index (parent * V + token) in the (K, V)
+    block of step scores. Each step selects the ``beam_size`` best finite
+    expansions by a stable sort on (score, base score) of only the entries
+    at or above the ``beam_size``-th best score, so the block's row-major
+    order breaks the remaining ties by ids. These are exactly the
     expansions a per-hypothesis top ``beam_size`` would pool: a candidate
     among the global best is among its parent's best.
 
-    Finished hypotheses stay in the beam and compete on their frozen
-    scores. With a beam at least as large as the number of possible
-    sequences nothing is ever pruned, so the ranking is exhaustive.
+    Beam entries are ``(-score, -base, ids, beliefs)`` tuples, which sort
+    in rank order. Finished entries stay in the beam and compete on their
+    frozen scores; the new expansions, already in rank order, are merged
+    with them and cut back to ``beam_size``. With a beam at least as large
+    as the number of possible sequences nothing is ever pruned, so the
+    ranking is exhaustive.
 
     Every step score is a ``log_softmax`` output, so it is at most 0 and a
     hypothesis never scores above its parent, in floating point too. The
-    loop therefore stops once the best ``n_best`` are finished and each
-    scores strictly above every live hypothesis: no later step can change
-    them. At ``n_best = beam_size`` that is the end of the live beam.
+    loop therefore stops once the best live score falls strictly below the
+    ``n_best``-th beam entry's: the best ``n_best`` are then finished and no
+    later step can change them. At ``n_best = beam_size`` that is the end
+    of the live beam.
     """
     n_best = config.beam_size if n_best is None else n_best
+    width, eos = config.beam_size, speaker.eos_id
     contexts = [speaker.context_ids(input)]
     pragmatic = distractors is not None
     if pragmatic:
         contexts += [speaker.context_ids(d) for d in distractors]
+        bases = np.zeros(1)
+        beliefs = np.full((1, len(contexts)), -math.log(len(contexts)))
     step_rows = speaker.row_source(contexts)
-    live: list[_Hypothesis] = [
-        _Hypothesis(
-            (), 0.0, 0.0, np.full(len(contexts), -math.log(len(contexts))) if pragmatic else None
-        )
-    ]
-    finished: list[_Hypothesis] = []
-    beam = live
+    ids, scores = [()], np.zeros(1)
+    finished: list[tuple] = []
     for _ in range(config.max_len):
-        # A live hypothesis among the best n_best fails this test itself,
-        # so passing it means those n_best are finished.
-        top = beam[:n_best]
-        if all(h.score < top[-1].score for h in live):
-            break
-        rows, base_steps = step_rows([h.ids for h in live])
+        rows, base_steps = step_rows(ids)
         if pragmatic:
-            # np.array copies a list of equal rows into one array, as
-            # np.stack does, at a third of the call overhead.
-            beliefs = np.array([h.beliefs for h in live])
             prag_steps, posterior = _pragmatic_block(rows, beliefs, config.alpha)
         else:
             prag_steps = base_steps
-        score_keys = (np.array([h.score for h in live])[:, None] + prag_steps).ravel()
+        keys = (scores[:, None] + prag_steps).ravel()
         # A -inf step means the token is impossible here; such expansions
         # can never outrank a finite one and their belief updates are
         # undefined, so they are not expanded.
-        cut = len(score_keys) - config.beam_size
-        kth = np.partition(score_keys, cut)[cut] if cut > 0 else -math.inf
-        keep = np.flatnonzero(score_keys >= kth if kth > -math.inf else score_keys > kth)
-        parent, token = np.divmod(keep, base_steps.shape[1])
-        scores = score_keys[keep]
+        cut, kth = keys.size - width, -math.inf
+        if cut > 0:
+            ranked = keys.copy()
+            ranked.partition(cut)
+            kth = ranked[cut]
+        keep = (keys >= kth if kth > -math.inf else keys > kth).nonzero()[0]
+        neg_cand, size = -keys[keep], base_steps.shape[1]
         if pragmatic:
-            bases = np.array([h.base for h in live])[parent] + base_steps[parent, token]
+            parent, token = keep // size, keep % size
+            neg_cand_bases = -(bases[parent] + base_steps[parent, token])
+            chosen = np.lexsort((neg_cand_bases, neg_cand))[:width]
+            new_beliefs = posterior[parent[chosen], :, token[chosen]]
         else:  # every score is its base score, bit for bit
-            bases = scores
-        chosen = np.lexsort((-bases, -scores))[: config.beam_size]
-        parent, token = parent[chosen], token[chosen]
-        beliefs = posterior[parent, :, token] if pragmatic else [None] * len(chosen)
-        pool = finished + [
-            _Hypothesis(live[k].ids + (tok,), score, base, belief, tok == speaker.eos_id, index)
-            for k, tok, score, base, index, belief in zip(
-                parent.tolist(), token.tolist(), scores[chosen].tolist(),
-                bases[chosen].tolist(), keep[chosen].tolist(), beliefs,
+            chosen = neg_cand.argsort(kind="stable")[:width]
+            new_beliefs = [None] * len(chosen)
+        neg_scores = neg_cand[chosen].tolist()
+        neg_bases = neg_cand_bases[chosen].tolist() if pragmatic else neg_scores
+        new = [
+            (neg_score, neg_base, ids[flat // size] + (flat % size,), belief)
+            for neg_score, neg_base, flat, belief in zip(
+                neg_scores, neg_bases, keep[chosen].tolist(), new_beliefs
             )
         ]
-        pool.sort(key=_by_rank)
-        beam = pool[: config.beam_size]
-        finished = [h for h in beam if h.finished]
-        live = sorted((h for h in beam if not h.finished), key=_by_index)
-    beam.sort(key=_by_rank)
-    return beam[:n_best]
+        beam = sorted(finished + new)[:width] if finished else new
+        live = [e for e in beam if e[2][-1] != eos]
+        # The first live entry is the best. One among the best n_best fails
+        # this test itself, so passing it means those n_best are finished.
+        if not live or live[0][0] > beam[min(n_best, len(beam)) - 1][0]:
+            break
+        finished = [e for e in beam if e[2][-1] == eos]
+        live.sort(key=itemgetter(2))  # by ids
+        neg_scores, neg_bases, ids, live_beliefs = zip(*live)
+        scores = -np.array(neg_scores)
+        if pragmatic:
+            # np.array copies a tuple of equal rows into one array, as
+            # np.stack does, at a third of the call overhead.
+            bases, beliefs = -np.array(neg_bases), np.array(live_beliefs)
+    return [
+        _Hypothesis(seq, -neg_score, -neg_base, belief, seq[-1] == eos)
+        for neg_score, neg_base, seq, belief in beam[:n_best]
+    ]
 
 
 # ── public decoding operations ──────────────────────────────────────────────

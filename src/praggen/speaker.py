@@ -38,7 +38,7 @@ from .core import (
     log_softmax,
 )
 
-RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray, np.ndarray]]
+RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray | None, np.ndarray]]
 
 # NGramSpeaker.row_source normalizes a stack of up to this many entries whole,
 # at 10-20 ns an entry; a larger one, row by row at 15-30 us a call.
@@ -56,9 +56,10 @@ class SpeakerModel(ABC):
     per decode: a function from ``n`` prefixes to their (n, L, V) rows
     under the decode's ``L`` contexts, equal bit for bit to
     ``step_logprobs_ctx``, and their (n, V) base rows, equal bit for bit to
-    ``log_softmax(rows[:, 0])``. The default stacks ``step_logprobs_ctx``
-    calls; a speaker whose rows come from a fixed table can build each row
-    and base row once per decode instead.
+    ``log_softmax(rows[:, 0])``. A decode with one context reads only the
+    base rows, so there the rows are ``None``. The default stacks
+    ``step_logprobs_ctx`` calls; a speaker whose rows come from a fixed
+    table can build each row and base row once per decode instead.
     """
 
     vocab_size: int
@@ -78,11 +79,12 @@ class SpeakerModel(ABC):
         """The step rows of one decode under ``contexts``: a function from
         ``n`` prefixes to ``(rows, base)``, whose (n, L, V) row ``[i, j]`` is
         ``step_logprobs_ctx(contexts[j], prefixes[i])`` and whose (n, V)
-        ``base`` is ``log_softmax(rows[:, 0])``."""
+        ``base`` is ``log_softmax(rows[:, 0])``; ``rows`` is ``None`` when
+        there is one context."""
 
-        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray | None, np.ndarray]:
             block = np.array([[self.step_logprobs_ctx(c, p) for c in contexts] for p in prefixes])
-            return block, log_softmax(block[:, 0])
+            return (block if len(contexts) > 1 else None), log_softmax(block[:, 0])
 
         return rows
 
@@ -188,9 +190,10 @@ class NGramSpeaker(SpeakerModel):
         in ``step_logprobs_ctx``, up front or, past ``EAGER_STACK_SIZE``
         entries, on its first gather. The base rows come from an (H+1, V)
         stack of the first context's rows normalized again, built along with
-        the stack, or once per speaker without a copy bonus. Once a prefix
-        holds ``order - 1`` ids one lookup finds its row under every context
-        (the state-based query of KenLM; Heafield 2011)."""
+        the stack, or once per speaker without a copy bonus; with one context
+        only they are gathered. Once a prefix holds ``order - 1`` ids one
+        lookup finds its row under every context (the state-based query of
+        KenLM; Heafield 2011)."""
         index, table = self._window_table()
         span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
         shape = (len(table), len(contexts), table.shape[1])
@@ -207,7 +210,7 @@ class NGramSpeaker(SpeakerModel):
         else:
             stack, base, done = np.empty(shape), np.empty(table.shape), set()
 
-        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray | None, np.ndarray]:
             if min(map(len, prefixes)) >= span:
                 visited = [index.get(p[-span:], unseen) for p in prefixes]
                 at = first = np.array(visited)
@@ -220,7 +223,7 @@ class NGramSpeaker(SpeakerModel):
                 base[fresh] = log_softmax(stack[fresh, 0])
                 done.update(fresh)
             # An index array gathers at a fraction of a list's cost.
-            return stack[at], base.take(first, 0)
+            return (stack[at] if len(contexts) > 1 else None), base.take(first, 0)
 
         return rows
 

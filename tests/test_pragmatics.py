@@ -29,7 +29,7 @@ from praggen.pragmatics import (
     _pragmatic_block,
 )
 import praggen.speaker as speaker_module
-from praggen.speaker import load_speaker
+from praggen.speaker import SpeakerModel, load_speaker
 
 from support import (
     TabularListener,
@@ -556,6 +556,8 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
     # length is gathered as one block, as in a decode, and all of them as
     # one mixed block, which only reuses rows normalized before. Each
     # block's base rows are its rows under the true input normalized again.
+    # A source for the true input alone, the speaker's own and the
+    # SpeakerModel default, gathers only those base rows.
     speakers, mrs = synth_models
     mr = mrs[0]
     rng = random.Random(0)
@@ -574,10 +576,17 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
             monkeypatch.setattr(speaker_module, "EAGER_STACK_SIZE", eager_size)
             contexts = [speaker.context_ids(m) for m in (mr, mr.without("eatType"))]
             rows = speaker.row_source(contexts)
+            true_only = contexts[:1]
+            alone = speaker.row_source(true_only), SpeakerModel.row_source(speaker, true_only)
             seen = set()
             for block in blocks + [prefixes]:
                 stacks, base = rows(block)
                 assert base.tobytes() == log_softmax(stacks[:, 0]).tobytes()
+                own = log_softmax(np.array([speaker.step_logprobs_ctx(true_only[0], p) for p in block]))
+                for source in alone:
+                    none, single = source(block)
+                    assert none is None
+                    assert single.tobytes() == own.tobytes() == base.tobytes()
                 for prefix, stacked in zip(block, stacks):
                     for ctx, row in zip(contexts, stacked):
                         want = speaker.step_logprobs_ctx(ctx, prefix).tobytes()
@@ -662,6 +671,18 @@ def test_a_settled_top_stops_the_decode_early(synth_models):
             for n in (config.beam_size, 1)
         )
         assert len(settled) < len(full)
+
+
+def test_returned_hypotheses_are_finished_exactly_when_they_end_in_eos():
+    # The exhaustive micro beam runs to max_len, so it returns
+    # length-capped hypotheses beside finished ones.
+    speaker = two_sided_speaker(72)
+    config = DecodeConfig(beam_size=27, max_len=MAXLEN, alpha=1.0)
+    for distractors in (None, [(1,)]):
+        beam = _beam_decode(speaker, (0,), config, distractors)
+        assert [h.finished for h in beam] == [h.ids[-1] == EOS for h in beam]
+        assert {h.finished for h in beam} == {True, False}
+        assert all(h.finished or len(h.ids) == MAXLEN for h in beam)
 
 
 # ── dispatch ─────────────────────────────────────────────────────────────────
