@@ -1,6 +1,8 @@
 """Command line pipeline: synth, train, generate, evaluate, ablate.
 
-Settings resolve in two layers: built-in defaults, then explicit flags.
+Every setting is a flag. A model or corpus flag declares its default and
+refuses a bad value as it parses; a decode flag left out keeps
+``DecodeConfig``'s default, and ``DecodeConfig`` judges the ones given.
 Exit codes are 0 for success, 2 for usage or validation problems, and 3
 for runtime or data errors. All outputs are written deterministically, so
 a rerun with the same inputs is byte-identical.
@@ -63,70 +65,38 @@ class DataError(Exception):
     """Unreadable or inconsistent data; exit code 3."""
 
 
-_DECODE_DEFAULTS = DecodeConfig()
-
-# The default of every setting a flag may override. Paths have no
-# default: they are per-invocation and always given on the command line.
-DEFAULTS: dict[str, object] = {
-    "seed": 13,
-    "workers": 1,
-    "train_size": 5000,
-    "dev_size": 500,
-    "test_size": 500,
-    "omission_rate": 0.1,
-    "order": 3,
-    "k": 0.1,
-    "copy_bonus": 1.0,
-    "listener_k": 0.5,
-    "mode": _DECODE_DEFAULTS.mode,
-    "beam_size": _DECODE_DEFAULTS.beam_size,
-    "max_len": _DECODE_DEFAULTS.max_len,
-    "lambda_": _DECODE_DEFAULTS.lambda_,
-    "alpha": _DECODE_DEFAULTS.alpha,
-    "distractor_policy": POLICY_NONE,
-}
+# ── flag values ─────────────────────────────────────────────────────────────
 
 
-# ── settings resolution ─────────────────────────────────────────────────────
+def _checked(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[str], object]:
+    """An argparse ``type=`` that parses a ``kind`` and refuses a value not ``ok``."""
+
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
 
 
-def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
-    """The decode settings of ``cfg``; ``DecodeConfig`` owns their rules."""
+_COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_POSITIVE_INT = _checked(int, lambda n: n >= 1, "a positive integer")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_NON_NEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "non-negative and finite")
+_UNIT = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+
+
+def _decode_config(args: argparse.Namespace, mode: str) -> DecodeConfig:
+    """The decode flags given; ``DecodeConfig`` owns the defaults and rules."""
     keys = ("beam_size", "max_len", "lambda_", "alpha")
-    return DecodeConfig(mode=mode, **{key: cfg[key] for key in keys})
-
-
-def _validate_settings(cfg: dict) -> None:
-    for key in ("omission_rate", "k", "copy_bonus", "listener_k", "lambda_", "alpha"):
-        if not math.isfinite(cfg[key]):
-            raise UsageError(f"setting {key!r} must be finite")
-    if cfg["workers"] < 1:
-        raise UsageError("workers must be >= 1")
-    for key in ("train_size", "dev_size", "test_size"):
-        if cfg[key] < 0:
-            raise UsageError(f"{key} must be non-negative")
-    if not 0.0 <= cfg["omission_rate"] <= 1.0:
-        raise UsageError("omission_rate must lie in [0, 1]")
-    if cfg["order"] < 2:
-        raise UsageError("order must be >= 2")
-    if cfg["k"] <= 0.0 or cfg["listener_k"] <= 0.0:
-        raise UsageError("smoothing constants must be positive")
-    if cfg["copy_bonus"] < 0.0:
-        raise UsageError("copy_bonus must be non-negative")
+    given = {key: value for key in keys if (value := getattr(args, key, None)) is not None}
     try:
-        _decode_config(cfg, cfg["mode"])
+        return DecodeConfig(mode=mode, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    _validate_settings(cfg)
-    return cfg
 
 
 # ── shared loading helpers ──────────────────────────────────────────────────
@@ -171,14 +141,14 @@ def _write_lines(lines: Sequence[str], path: str) -> None:
 # ── commands ────────────────────────────────────────────────────────────────
 
 
-def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
-    grammar = default_grammar(cfg["omission_rate"])
+def cmd_synth(args: argparse.Namespace) -> int:
+    grammar = default_grammar(args.omission_rate)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = (
-        ("train", cfg["train_size"], cfg["seed"]),
-        ("dev", cfg["dev_size"], cfg["seed"] + 1),
-        ("test", cfg["test_size"], cfg["seed"] + 2),
+        ("train", args.train_size, args.seed),
+        ("dev", args.dev_size, args.seed + 1),
+        ("test", args.test_size, args.seed + 2),
     )
     for split, size, seed in splits:
         records = generate_corpus(grammar, size, seed, id_prefix=split)
@@ -205,7 +175,7 @@ def _training_pairs(records: list[CorpusRecord], schema: AttributeSchema):
     return pairs, vocab
 
 
-def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_train(args: argparse.Namespace) -> int:
     if args.listener_out and Path(args.listener_out).resolve() == Path(args.out).resolve():
         raise UsageError("--out and --listener-out must be different files")
     schema = _load("schema", args.schema, load_schema)
@@ -213,42 +183,41 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     pairs, vocab = _training_pairs(records, schema)
     speaker = train_ngram_speaker(
         pairs,
-        cfg["order"],
-        cfg["k"],
+        args.order,
+        args.k,
         vocab=vocab,
         schema=schema,
-        copy_bonus=cfg["copy_bonus"],
+        copy_bonus=args.copy_bonus,
     )
     out = _output_path(args.out)
     save_speaker(speaker, out)
-    print(f"trained order-{cfg['order']} speaker on {len(pairs)} pairs "
+    print(f"trained order-{args.order} speaker on {len(pairs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
     if args.listener_out is not None:
-        listener = train_attribute_listener(pairs, schema, k=cfg["listener_k"], vocab=vocab)
+        listener = train_attribute_listener(pairs, schema, k=args.listener_k, vocab=vocab)
         save_listener(listener, _output_path(args.listener_out))
         print(f"trained attribute-nb listener, saved to {args.listener_out}")
     return 0
 
 
-def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
+    config = _decode_config(args, args.mode)
     schema = _load("schema", args.schema, load_schema)
     speaker = _load("speaker", args.speaker, load_speaker, schema)
-    mode = cfg["mode"]
     listener = (None if args.listener is None
                 else _load("listener", args.listener, load_listener, schema))
-    if mode == MODE_RECONSTRUCTOR and listener is None:
+    if config.mode == MODE_RECONSTRUCTOR and listener is None:
         raise UsageError("reconstructor mode requires --listener")
     if listener is not None and listener.vocab.tokens != speaker.vocab.tokens:
         raise DataError(f"{args.listener}: listener vocabulary differs from the speaker's")
     try:
-        policy = DistractorPolicy.parse(cfg["distractor_policy"])
+        policy = DistractorPolicy.parse(args.distractor_policy)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if policy.kind == POLICY_MASK_SINGLE and not schema.has(policy.attribute):
         raise UsageError(f"mask-single names unknown attribute {policy.attribute!r}")
-    if mode != MODE_DISTRACTOR and policy.kind != POLICY_NONE:
+    if config.mode != MODE_DISTRACTOR and policy.kind != POLICY_NONE:
         raise UsageError("--distractor-policy only applies to --mode distractor")
-    config = _decode_config(cfg, mode)
 
     records = _read_records(args.data, schema)
     delexed = [delexicalize(r, schema) for r in records]
@@ -272,12 +241,12 @@ def cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
             payload["combined_score"] = cand.combined_score
         return payload
 
-    payloads = map_jobs(decode, len(jobs), cfg["workers"])
+    payloads = map_jobs(decode, len(jobs), args.workers)
     _write_lines(
         [json.dumps(p, sort_keys=True, separators=(",", ":")) for p in payloads],
         args.out,
     )
-    print(f"decoded {len(payloads)} records ({mode} mode) to {args.out}")
+    print(f"decoded {len(payloads)} records ({config.mode} mode) to {args.out}")
     leaks = sum(has_unmapped_placeholder(p["output"]) for p in payloads)
     print(f"placeholders: {leaks} of {len(payloads)} outputs keep an unmapped "
           "*_PLH token", file=sys.stderr)
@@ -303,7 +272,7 @@ def _read_predictions(path: str) -> dict[str, dict]:
     return out
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
     schema = _load("schema", args.schema, load_schema)
     records = _read_records(args.data, schema)
     predictions = _read_predictions(args.predictions)
@@ -334,16 +303,16 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def cmd_ablate(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_ablate(args: argparse.Namespace) -> int:
+    config = _decode_config(args, MODE_DISTRACTOR)
     schema = _load("schema", args.schema, load_schema)
     speaker = _load("speaker", args.speaker, load_speaker, schema)
     records = _read_records(args.data, schema)
     if not records:
         raise UsageError("no records to ablate over")
     delexed = [delexicalize(r, schema) for r in records]
-    config = _decode_config(cfg, MODE_DISTRACTOR)
     matrix = ablation_matrix(
-        speaker, delexed, schema, speaker.vocab, config, workers=cfg["workers"]
+        speaker, delexed, schema, speaker.vocab, config, workers=args.workers
     )
     out = _output_path(args.out)
     write_ablation_csv(matrix, out)
@@ -371,76 +340,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="write a synthetic corpus")
-    synth.add_argument("--seed", type=int, help="random seed")
+    synth.set_defaults(run=cmd_synth)
+    synth.add_argument("--seed", type=int, default=13, help="random seed")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--train-size", type=int, dest="train_size")
-    synth.add_argument("--dev-size", type=int, dest="dev_size")
-    synth.add_argument("--test-size", type=int, dest="test_size")
-    synth.add_argument("--omission-rate", type=float, dest="omission_rate",
+    synth.add_argument("--train-size", type=_COUNT, default=5000)
+    synth.add_argument("--dev-size", type=_COUNT, default=500)
+    synth.add_argument("--test-size", type=_COUNT, default=500)
+    synth.add_argument("--omission-rate", type=_UNIT, default=0.1,
                        help="chance a reference drops an assigned clause")
 
     train = sub.add_parser("train", help="train speaker (and optional listener)")
+    train.set_defaults(run=cmd_train)
     train.add_argument("--data", required=True, help="training records (JSONL)")
     train.add_argument("--schema", required=True, help="attribute schema (JSON)")
     train.add_argument("--out", required=True, help="speaker model output path")
-    train.add_argument("--order", type=int, help="n-gram order (>= 2)")
-    train.add_argument("--k", type=float, help="add-k smoothing constant")
-    train.add_argument("--copy-bonus", type=float, dest="copy_bonus",
+    train.add_argument("--order", type=_checked(int, lambda n: n >= 2, "an integer >= 2"),
+                       default=3, help="n-gram order")
+    train.add_argument("--k", type=_POSITIVE, default=0.1, help="add-k smoothing constant")
+    train.add_argument("--copy-bonus", type=_NON_NEGATIVE, default=1.0,
                        help="log-linear bonus for tokens present in the input")
-    train.add_argument("--listener-out", dest="listener_out",
-                       help="also train a listener and save it here")
-    train.add_argument("--listener-k", type=float, dest="listener_k")
+    train.add_argument("--listener-out", help="also train a listener and save it here")
+    train.add_argument("--listener-k", type=_POSITIVE, default=0.5)
 
-    gen = sub.add_parser("generate", help="decode inputs to text")
-    gen.add_argument("--data", required=True, help="records to decode (JSONL)")
-    gen.add_argument("--speaker", required=True, help="speaker model path")
-    gen.add_argument("--schema", required=True, help="attribute schema (JSON)")
+    # Flags shared by the decoding commands; a decode flag left out keeps
+    # DecodeConfig's default.
+    decoding = argparse.ArgumentParser(add_help=False)
+    decoding.add_argument("--data", required=True, help="records to decode (JSONL)")
+    decoding.add_argument("--speaker", required=True, help="speaker model path")
+    decoding.add_argument("--schema", required=True, help="attribute schema (JSON)")
+    decoding.add_argument("--beam-size", type=int)
+    decoding.add_argument("--max-len", type=int)
+    decoding.add_argument("--alpha", type=float, help="belief weight in distractor decoding")
+    decoding.add_argument("--workers", type=_POSITIVE_INT, default=1,
+                          help="decode processes, at most one per CPU")
+
+    gen = sub.add_parser("generate", parents=[decoding], help="decode inputs to text")
+    gen.set_defaults(run=cmd_generate)
     gen.add_argument("--out", required=True, help="predictions output path (JSONL)")
-    gen.add_argument("--mode", choices=list(MODES))
+    gen.add_argument("--mode", choices=list(MODES), default=DecodeConfig.mode)
     gen.add_argument("--listener", help="listener model (reconstructor mode)")
-    gen.add_argument("--beam-size", type=int, dest="beam_size")
-    gen.add_argument("--max-len", type=int, dest="max_len")
     gen.add_argument("--lambda", type=float, dest="lambda_",
                      help="listener weight when reranking")
-    gen.add_argument("--alpha", type=float,
-                     help="belief weight in distractor decoding")
-    gen.add_argument("--distractor-policy", dest="distractor_policy",
+    gen.add_argument("--distractor-policy", default=POLICY_NONE,
                      help="mask-all | mask-single:<attr> | none")
-    gen.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     ev = sub.add_parser("evaluate", help="score predictions against references")
+    ev.set_defaults(run=cmd_evaluate)
     ev.add_argument("--data", required=True, help="gold records (JSONL)")
     ev.add_argument("--predictions", required=True, help="predictions (JSONL)")
     ev.add_argument("--schema", required=True, help="attribute schema (JSON)")
     ev.add_argument("--out", help="also write the JSON report here")
 
-    ab = sub.add_parser("ablate", help="attribute-masking coverage matrix")
-    ab.add_argument("--data", required=True, help="records to decode (JSONL)")
-    ab.add_argument("--speaker", required=True, help="speaker model path")
-    ab.add_argument("--schema", required=True, help="attribute schema (JSON)")
+    ab = sub.add_parser("ablate", parents=[decoding], help="attribute-masking coverage matrix")
+    ab.set_defaults(run=cmd_ablate)
     ab.add_argument("--out", required=True, help="matrix output path (CSV)")
-    ab.add_argument("--alpha", type=float)
-    ab.add_argument("--beam-size", type=int, dest="beam_size")
-    ab.add_argument("--max-len", type=int, dest="max_len")
-    ab.add_argument("--workers", type=int, help="decode processes, at most one per CPU")
 
     return parser
-
-
-_HANDLERS: dict[str, Callable[[argparse.Namespace, dict], int]] = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _settings(args)
-        return _HANDLERS[args.command](args, cfg)
+        return args.run(args)
     except SystemExit as exc:  # --help; argparse's refusals raise UsageError
         return exc.code
     except UsageError as exc:

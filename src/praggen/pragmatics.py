@@ -184,12 +184,12 @@ def _pragmatic_block(
 def _support_rows(
     speaker: SpeakerModel, belief: BeliefState, prefix: TokenSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-hypothesis (1, L, V) step block and (1, L) beliefs."""
+    """One-hypothesis (1, L, V) step block, from the speaker's row source,
+    and (1, L) beliefs; a support has two or more inputs, so rows are given."""
     if prefix.terminated:
         raise ValueError("prefix is terminated; no further tokens can be scored")
-    contexts = [speaker.context_ids(s) for s in belief.support]
-    rows = np.array([[speaker.step_logprobs_ctx(c, prefix.ids) for c in contexts]])
-    return rows, np.array([belief.log_beliefs])
+    rows = speaker.row_source([speaker.context_ids(s) for s in belief.support])
+    return rows([prefix.ids])[0], np.array([belief.log_beliefs])
 
 
 # ── belief machinery ────────────────────────────────────────────────────────

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from praggen.cli import build_parser, main
+from praggen.cli import _decode_config, build_parser, main
 from praggen.core import detokenize, load_schema
 from praggen.data import delexicalize, read_jsonl, relexicalize, write_jsonl
 from praggen.listener import load_listener
@@ -53,6 +53,10 @@ def ws(tmp_path_factory):
     }
 
 
+def subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def outputs_of(path):
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line)["output"] for line in fh]
@@ -65,17 +69,18 @@ def test_no_command_is_a_usage_error():
     assert main([]) == 2
 
 
-def test_help_exits_cleanly(capsys):
-    assert main(["--help"]) == 0
-    assert "synth" in capsys.readouterr().out
+@pytest.mark.parametrize("command", [None, "synth", "train", "generate", "evaluate", "ablate"],
+                         ids=lambda command: command or "praggen")
+def test_help_exits_cleanly(capsys, command):
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "synth" in out if command is None else f"praggen {command}" in out
 
 
 def test_readme_commands_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     parser = build_parser()
-    subcommands = next(a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction)).choices.values()
-    flags = {flag for sub in subcommands for flag in sub._option_string_actions}
+    flags = {flag for sub in subcommands(parser).values() for flag in sub._option_string_actions}
     prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
     assert set(re.findall(r"`(--[\w-]+)", prose)) <= flags
     commands = [
@@ -132,26 +137,54 @@ def test_synth_seed_changes_the_corpus(ws, tmp_path):
     ).read_bytes()
 
 
-def test_synth_validates_settings(tmp_path):
-    assert run("synth", "--out", tmp_path, "--omission-rate", 1.5) == 2
-    assert run("synth", "--out", tmp_path, "--train-size", -3) == 2
-    assert run("synth", "--out", tmp_path, "--grammar", tmp_path / "x.json") == 2
+def test_synth_validates_settings(tmp_path, capsys):
+    out = tmp_path / "data"
+    for flag, value in (("--omission-rate", 1.5), ("--train-size", -3), ("--dev-size", -1)):
+        assert run("synth", "--out", out, flag, value) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: ")
+        assert not out.exists()
+    assert run("synth", "--out", out, "--grammar", tmp_path / "x.json") == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command, flag", [
-    ("train", "--k"), ("train", "--listener-k"), ("train", "--copy-bonus"),
-    ("generate", "--alpha"),
+@pytest.mark.parametrize("command, flag, value", [
+    ("generate", "--alpha", "inf"), ("generate", "--alpha", "nan"),
+    ("train", "--copy-bonus", "inf"), ("train", "--copy-bonus", "nan"),
+    ("train", "--k", "inf"), ("train", "--k", "nan"),
+    ("train", "--listener-k", "inf"), ("train", "--listener-k", "nan"),
+    ("train", "--order", "1"), ("generate", "--workers", "0"), ("train", "--k", "0"),
+    ("train", "--listener-k", "0"), ("train", "--copy-bonus", "-1"),
 ])
 def test_non_finite_float_settings_are_usage_errors(ws, tmp_path, capsys, command, flag, value):
+    # Flag values are refused as they parse, each naming its flag; a decode
+    # flag is refused by DecodeConfig, whose message names its setting.
     out = tmp_path / "out.json"
     args = {
         "train": ["--data", ws["train"], "--listener-out", tmp_path / "listener.json"],
         "generate": ["--data", ws["dev"], "--speaker", ws["speaker"], "--mode", "distractor"],
     }[command]
     assert run(command, *args, "--schema", ws["schema"], "--out", out, flag, value) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err.splitlines()
+    named = "error: alpha " if flag == "--alpha" else f"error: argument {flag}: "
+    assert len(err) == 1 and err[0].startswith(named)
     assert not out.exists() and not (tmp_path / "listener.json").exists()
+
+
+def test_decode_flags_left_out_keep_the_decode_config_defaults():
+    parser = build_parser()
+    files = ["--data", "d.jsonl", "--speaker", "s.json", "--schema", "x.json", "--out", "o"]
+    generate = parser.parse_args(["generate", *files])
+    assert _decode_config(generate, generate.mode) == DecodeConfig()
+    ablate = parser.parse_args(["ablate", *files])
+    assert _decode_config(ablate, "distractor") == DecodeConfig(mode="distractor")
+
+
+def test_lambda_is_a_flag_of_generate_only(ws, tmp_path):
+    assert [name for name, sub in subcommands(build_parser()).items()
+            if "--lambda" in sub._option_string_actions] == ["generate"]
+    out = tmp_path / "m.csv"
+    assert run(*decode_args(ws, "ablate"), "--out", out, "--lambda", 0.5) == 2
+    assert not out.exists()
 
 
 # ── train ────────────────────────────────────────────────────────────────────
