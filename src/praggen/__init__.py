@@ -22,10 +22,9 @@ from .core import (
     validate_mr,
 )
 from .data import (
+    RESTAURANT_SCHEMA,
     CorpusRecord,
-    SyntheticGrammar,
     build_corpus_vocabulary,
-    default_grammar,
     delexicalize,
     generate_corpus,
     read_jsonl,
@@ -86,9 +85,9 @@ __all__ = [
     "DistractorPolicy",
     "MeaningRepresentation",
     "NGramSpeaker",
+    "RESTAURANT_SCHEMA",
     "ScoredCandidate",
     "SpeakerModel",
-    "SyntheticGrammar",
     "TokenSequence",
     "UnbuildableContextError",
     "Vocabulary",
@@ -98,7 +97,6 @@ __all__ = [
     "bleu",
     "build_corpus_vocabulary",
     "coverage_ratio",
-    "default_grammar",
     "delexicalize",
     "detokenize",
     "distractor_step_scores",

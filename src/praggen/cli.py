@@ -1,8 +1,8 @@
 """Command line pipeline: synth, train, generate, evaluate, ablate.
 
-Every setting is a flag. A model or corpus flag declares its default and
-refuses a bad value as it parses; a decode flag left out keeps
-``DecodeConfig``'s default, and ``DecodeConfig`` judges the ones given.
+Every setting is a flag, and each flag refuses a bad value as it parses. A
+model or corpus flag declares its default; a decode flag left out keeps
+``DecodeConfig``'s default.
 Exit codes are 0 for success, 2 for usage or validation problems, and 3
 for runtime or data errors. All outputs are written deterministically, so
 a rerun with the same inputs is byte-identical.
@@ -27,9 +27,9 @@ from .core import (
     schema_to_dict,
 )
 from .data import (
+    RESTAURANT_SCHEMA,
     CorpusRecord,
     build_corpus_vocabulary,
-    default_grammar,
     delexicalize,
     generate_corpus,
     has_unmapped_placeholder,
@@ -90,13 +90,10 @@ _UNIT = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
 def _decode_config(args: argparse.Namespace, mode: str) -> DecodeConfig:
-    """The decode flags given; ``DecodeConfig`` owns the defaults and rules."""
+    """The decode flags given; ``DecodeConfig`` owns the defaults."""
     keys = ("beam_size", "max_len", "lambda_", "alpha")
     given = {key: value for key in keys if (value := getattr(args, key, None)) is not None}
-    try:
-        return DecodeConfig(mode=mode, **given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return DecodeConfig(mode=mode, **given)
 
 
 # ── shared loading helpers ──────────────────────────────────────────────────
@@ -142,7 +139,6 @@ def _write_lines(lines: Sequence[str], path: str) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    grammar = default_grammar(args.omission_rate)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = (
@@ -151,13 +147,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ("test", args.test_size, args.seed + 2),
     )
     for split, size, seed in splits:
-        records = generate_corpus(grammar, size, seed, id_prefix=split)
+        records = generate_corpus(size, seed, args.omission_rate, id_prefix=split)
         target = out_dir / f"{split}.jsonl"
         write_jsonl(records, target)
         print(f"wrote {len(records)} records to {target}")
     schema_path = out_dir / "schema.json"
     schema_path.write_text(
-        json.dumps(schema_to_dict(grammar.schema), sort_keys=True, indent=2) + "\n",
+        json.dumps(schema_to_dict(RESTAURANT_SCHEMA), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
     print(f"wrote schema to {schema_path}")
@@ -368,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     decoding.add_argument("--data", required=True, help="records to decode (JSONL)")
     decoding.add_argument("--speaker", required=True, help="speaker model path")
     decoding.add_argument("--schema", required=True, help="attribute schema (JSON)")
-    decoding.add_argument("--beam-size", type=int)
-    decoding.add_argument("--max-len", type=int)
-    decoding.add_argument("--alpha", type=float, help="belief weight in distractor decoding")
+    decoding.add_argument("--beam-size", type=_POSITIVE_INT)
+    decoding.add_argument("--max-len", type=_POSITIVE_INT)
+    decoding.add_argument("--alpha", type=_NON_NEGATIVE,
+                          help="belief weight in distractor decoding")
     decoding.add_argument("--workers", type=_POSITIVE_INT, default=1,
                           help="decode processes, at most one per CPU")
 
@@ -379,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="predictions output path (JSONL)")
     gen.add_argument("--mode", choices=list(MODES), default=DecodeConfig.mode)
     gen.add_argument("--listener", help="listener model (reconstructor mode)")
-    gen.add_argument("--lambda", type=float, dest="lambda_",
+    gen.add_argument("--lambda", type=_UNIT, dest="lambda_",
                      help="listener weight when reranking")
     gen.add_argument("--distractor-policy", default=POLICY_NONE,
                      help="mask-all | mask-single:<attr> | none")

@@ -335,9 +335,6 @@ class AttributeSchema:
     def has(self, name: str) -> bool:
         return name in self._by_name
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
-
     def tokens(self) -> list[str]:
         """Every canonical token a valid MR linearization can contain."""
         toks: list[str] = []

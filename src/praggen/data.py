@@ -51,172 +51,130 @@ class CorpusRecord:
 
 # ── synthetic grammar ───────────────────────────────────────────────────────
 
+# The shipped restaurant schema: eight attributes, ``name`` first.
+RESTAURANT_SCHEMA = AttributeSchema(
+    attributes=(
+        AttributeSpec("name", KIND_DELEXICALIZED, (NAME_PLACEHOLDER,)),
+        AttributeSpec(
+            "eatType", KIND_CATEGORICAL, ("restaurant", "pub", "coffee shop")
+        ),
+        AttributeSpec(
+            "food",
+            KIND_CATEGORICAL,
+            ("english", "french", "italian", "japanese", "indian", "chinese"),
+        ),
+        AttributeSpec("priceRange", KIND_CATEGORICAL, ("cheap", "moderate", "high")),
+        AttributeSpec(
+            "customerRating",
+            KIND_CATEGORICAL,
+            ("1 out of 5", "3 out of 5", "5 out of 5"),
+        ),
+        AttributeSpec("area", KIND_CATEGORICAL, ("riverside", "city centre")),
+        AttributeSpec(
+            "familyFriendly",
+            KIND_BOOLEAN,
+            ("yes", "no"),
+            lexicon=("family friendly", "family-friendly", "child friendly", "kid friendly"),
+        ),
+        AttributeSpec("near", KIND_DELEXICALIZED, (NEAR_PLACEHOLDER,)),
+    )
+)
 
-@dataclass(frozen=True)
-class SyntheticGrammar:
-    """Template grammar over a schema.
+# Clause templates per attribute. A ``{v}`` template realizes the value
+# verbatim; a boolean attribute instead maps each value to phrases from its
+# mention lexicon, since the literal yes/no never appears in text.
+_CLAUSES: Mapping[str, tuple[str, ...] | Mapping[str, tuple[str, ...]]] = {
+    "name": ("{v} is", "you will find that {v} is"),
+    "eatType": ("a {v}", "a lovely {v}"),
+    "food": ("serving {v} food", "offering {v} dishes"),
+    "priceRange": ("with {v} prices", "in the {v} price bracket"),
+    "customerRating": ("rated {v}", "with a rating of {v}"),
+    "area": ("in the {v} area", "found in the {v} part of town"),
+    "familyFriendly": {
+        "yes": ("family friendly", "child friendly"),
+        "no": ("not family friendly", "not child friendly"),
+    },
+    "near": ("near {v}", "close to {v}"),
+}
 
-    ``templates`` maps categorical and delexicalized attributes to
-    ``{v}``-bearing clause templates, which realize the value verbatim.
-    Boolean attributes instead carry per-value templates in
-    ``boolean_templates``; those realize a phrase from the attribute's
-    mention lexicon rather than the literal yes/no value.
-    """
+_SURFACES: Mapping[str, tuple[str, ...]] = {
+    "name": (
+        "the copper kettle",
+        "rose cottage",
+        "the red lion",
+        "marble arch diner",
+        "willow house",
+        "the green door",
+        "sunset grill",
+        "harbor lights",
+    ),
+    "near": (
+        "the old mill",
+        "city gallery",
+        "union station",
+        "maple square",
+        "the corner market",
+        "king street bakery",
+    ),
+}
 
-    schema: AttributeSchema
-    templates: Mapping[str, tuple[str, ...]]
-    boolean_templates: Mapping[str, Mapping[str, tuple[str, ...]]]
-    value_weights: Mapping[str, tuple[float, ...]]
-    surface_pools: Mapping[str, tuple[str, ...]]
-    presence: Mapping[str, float]
-    omission_rate: float = 0.1
-    head_attribute: str = "name"
+# Each attribute but ``name`` is assigned at this rate; the i-th declared
+# value of an attribute weighs ``_VALUE_DECAY**i``.
+_PRESENCE = 0.8
+_VALUE_DECAY = 0.7
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.omission_rate <= 1.0:
-            raise ValueError("omission_rate must lie in [0, 1]")
 
-    def sample_mr(self, rng: random.Random) -> MeaningRepresentation:
-        """Sample surface-valued assignments; the head is always present."""
-        assigned: dict[str, str] = {}
-        for spec in self.schema:
-            if spec.name == self.head_attribute:
-                assigned[spec.name] = rng.choice(self.surface_pools[spec.name])
-                continue
-            if rng.random() >= self.presence[spec.name]:
-                continue
-            if spec.kind == KIND_DELEXICALIZED:
-                assigned[spec.name] = rng.choice(self.surface_pools[spec.name])
-            else:
-                weights = self.value_weights[spec.name]
-                assigned[spec.name] = rng.choices(list(spec.values), weights=weights)[0]
-        return MeaningRepresentation(assigned)
-
-    def realize(self, mr: MeaningRepresentation, rng: random.Random) -> str:
-        """Write a reference for ``mr``, dropping non-head clauses at
-        ``omission_rate``."""
-        head_value = mr.get(self.head_attribute)
-        if head_value is None:
-            raise ValueError("the head attribute must be assigned")
-        head = rng.choice(self.templates[self.head_attribute]).format(v=head_value)
-        clauses: list[str] = []
-        for spec in self.schema:
-            if spec.name == self.head_attribute:
-                continue
-            value = mr.get(spec.name)
-            if value is None:
-                continue
-            if rng.random() < self.omission_rate:
-                continue
-            if spec.kind == KIND_BOOLEAN:
-                tpl = rng.choice(self.boolean_templates[spec.name][value])
-                clauses.append(tpl)
-            else:
-                clauses.append(rng.choice(self.templates[spec.name]).format(v=value))
-        if not clauses:
-            clauses = ["a place to eat"]
-        if len(clauses) == 1:
-            body = clauses[0]
+def _sample_mr(rng: random.Random) -> MeaningRepresentation:
+    """Sample surface-valued assignments; ``name`` is always present."""
+    assigned: dict[str, str] = {}
+    for spec in RESTAURANT_SCHEMA:
+        if spec.name != "name" and rng.random() >= _PRESENCE:
+            continue
+        if spec.kind == KIND_DELEXICALIZED:
+            assigned[spec.name] = rng.choice(_SURFACES[spec.name])
         else:
-            body = ", ".join(clauses[:-1]) + " and " + clauses[-1]
-        return f"{head} {body} ."
+            weights = [_VALUE_DECAY**i for i in range(len(spec.values))]
+            assigned[spec.name] = rng.choices(spec.values, weights=weights)[0]
+    return MeaningRepresentation(assigned)
 
 
-def default_grammar(omission_rate: float = 0.1) -> SyntheticGrammar:
-    """The shipped restaurant grammar: eight attributes, skewed values."""
-    schema = AttributeSchema(
-        attributes=(
-            AttributeSpec("name", KIND_DELEXICALIZED, (NAME_PLACEHOLDER,)),
-            AttributeSpec(
-                "eatType", KIND_CATEGORICAL, ("restaurant", "pub", "coffee shop")
-            ),
-            AttributeSpec(
-                "food",
-                KIND_CATEGORICAL,
-                ("english", "french", "italian", "japanese", "indian", "chinese"),
-            ),
-            AttributeSpec("priceRange", KIND_CATEGORICAL, ("cheap", "moderate", "high")),
-            AttributeSpec(
-                "customerRating",
-                KIND_CATEGORICAL,
-                ("1 out of 5", "3 out of 5", "5 out of 5"),
-            ),
-            AttributeSpec("area", KIND_CATEGORICAL, ("riverside", "city centre")),
-            AttributeSpec(
-                "familyFriendly",
-                KIND_BOOLEAN,
-                ("yes", "no"),
-                lexicon=("family friendly", "family-friendly", "child friendly", "kid friendly"),
-            ),
-            AttributeSpec("near", KIND_DELEXICALIZED, (NEAR_PLACEHOLDER,)),
-        )
-    )
-    geometric = lambda n: tuple(0.7**i for i in range(n))  # noqa: E731
-    return SyntheticGrammar(
-        schema=schema,
-        templates={
-            "name": ("{v} is", "you will find that {v} is"),
-            "eatType": ("a {v}", "a lovely {v}"),
-            "food": ("serving {v} food", "offering {v} dishes"),
-            "priceRange": ("with {v} prices", "in the {v} price bracket"),
-            "customerRating": ("rated {v}", "with a rating of {v}"),
-            "area": ("in the {v} area", "found in the {v} part of town"),
-            "near": ("near {v}", "close to {v}"),
-        },
-        boolean_templates={
-            "familyFriendly": {
-                "yes": ("family friendly", "child friendly"),
-                "no": ("not family friendly", "not child friendly"),
-            }
-        },
-        value_weights={
-            "eatType": geometric(3),
-            "food": geometric(6),
-            "priceRange": geometric(3),
-            "customerRating": geometric(3),
-            "area": geometric(2),
-            "familyFriendly": geometric(2),
-        },
-        surface_pools={
-            "name": (
-                "the copper kettle",
-                "rose cottage",
-                "the red lion",
-                "marble arch diner",
-                "willow house",
-                "the green door",
-                "sunset grill",
-                "harbor lights",
-            ),
-            "near": (
-                "the old mill",
-                "city gallery",
-                "union station",
-                "maple square",
-                "the corner market",
-                "king street bakery",
-            ),
-        },
-        presence={name: 0.8 for name in schema.names() if name != "name"},
-        omission_rate=omission_rate,
-    )
+def _realize(mr: MeaningRepresentation, omission_rate: float, rng: random.Random) -> str:
+    """Write a reference for ``mr``, dropping non-name clauses at
+    ``omission_rate``."""
+    head = rng.choice(_CLAUSES["name"]).format(v=mr.get("name"))
+    clauses: list[str] = []
+    for spec in RESTAURANT_SCHEMA:
+        value = mr.get(spec.name)
+        if spec.name == "name" or value is None or rng.random() < omission_rate:
+            continue
+        templates = _CLAUSES[spec.name]
+        if spec.kind == KIND_BOOLEAN:
+            templates = templates[value]
+        clauses.append(rng.choice(templates).format(v=value))
+    *rest, last = clauses or ["a place to eat"]
+    body = f"{', '.join(rest)} and {last}" if rest else last
+    return f"{head} {body} ."
 
 
 def generate_corpus(
-    grammar: SyntheticGrammar, n: int, seed: int, id_prefix: str = "syn"
+    n: int, seed: int, omission_rate: float, id_prefix: str = "syn"
 ) -> list[CorpusRecord]:
-    """Sample ``n`` aligned records with a Mersenne Twister seeded at ``seed``."""
+    """Sample ``n`` aligned records of the restaurant grammar with a Mersenne
+    Twister seeded at ``seed``; each reference drops each non-name clause at
+    ``omission_rate``."""
     if n < 0:
         raise ValueError("corpus size must be non-negative")
+    if not 0.0 <= omission_rate <= 1.0:
+        raise ValueError("omission_rate must lie in [0, 1]")
     rng = random.Random(seed)
     records = []
     for i in range(n):
-        mr = grammar.sample_mr(rng)
+        mr = _sample_mr(rng)
         records.append(
             CorpusRecord(
                 id=f"{id_prefix}-{i:05d}",
                 mr=mr,
-                reference=grammar.realize(mr, rng),
+                reference=_realize(mr, omission_rate, rng),
             )
         )
     return records

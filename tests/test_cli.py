@@ -147,6 +147,34 @@ def test_synth_validates_settings(tmp_path, capsys):
     assert run("synth", "--out", out, "--grammar", tmp_path / "x.json") == 2
 
 
+SCHEMA_SHA = "c3662b8314cd4fd0b44bb33ec8c3cd2b30a827e176513148a5b375b9cd1b0243"
+
+
+@pytest.mark.parametrize("omission_rate, train_sha, dev_sha, test_sha", [
+    (0, "1b00e54b6e8f134f073ebcfc6935bfd69368080fe47cfca72aaed54e6133f9f3",
+     "8ce67bc826588cadacaa1c83f8c42b2d205d18d1d3237f6114a3cdbb43f3fa4e",
+     "30c9beb52af4632e2195373dd3645e307e4c1639d661c9bc94890cd72f63c852"),
+    (0.1, "c5f6241be9ed1352f94a7c45d6c43f25c5a62d4c5116ccc66a040292c85c3981",
+     "dd234b478f273e5800fb059c7d11b6b4dd868f7cfb2661e69bb0d5e166ad6405",
+     "c63577697840c3ad05b530a5164432eb948e23c1433c2aa4902d8a0eca28759b"),
+    (1, "300926b5178e265740c797fd14cada0d8d719daf2469794ebec846a7c37d58ae",
+     "1e014e121584dbcb5d7cd74ea7579c04d8bed107b16466a947b8e24edaf4447a",
+     "3009bac92e02840b29a92d608a0685ba2ab1fd44cffcaff7f7068a86439fe6e4"),
+], ids=["omit0", "omit0.1", "omit1"])
+def test_synth_writes_the_recorded_corpus_bytes(tmp_path, omission_rate, train_sha,
+                                                dev_sha, test_sha):
+    # The digests pin the corpus to the bytes synth wrote when they were
+    # recorded, so a rewrite of the grammar must draw from the random stream
+    # in exactly the same order.
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--seed", 17, "--train-size", 200, "--dev-size", 20,
+               "--test-size", 20, "--omission-rate", omission_rate) == 0
+    expected = {"train.jsonl": train_sha, "dev.jsonl": dev_sha, "test.jsonl": test_sha,
+                "schema.json": SCHEMA_SHA}
+    assert {name: hashlib.sha256((data / name).read_bytes()).hexdigest()
+            for name in expected} == expected
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("generate", "--alpha", "inf"), ("generate", "--alpha", "nan"),
     ("train", "--copy-bonus", "inf"), ("train", "--copy-bonus", "nan"),
@@ -154,10 +182,12 @@ def test_synth_validates_settings(tmp_path, capsys):
     ("train", "--listener-k", "inf"), ("train", "--listener-k", "nan"),
     ("train", "--order", "1"), ("generate", "--workers", "0"), ("train", "--k", "0"),
     ("train", "--listener-k", "0"), ("train", "--copy-bonus", "-1"),
+    ("generate", "--lambda", "1.5"), ("generate", "--beam-size", "0"),
+    ("generate", "--max-len", "0"),
 ])
 def test_non_finite_float_settings_are_usage_errors(ws, tmp_path, capsys, command, flag, value):
-    # Flag values are refused as they parse, each naming its flag; a decode
-    # flag is refused by DecodeConfig, whose message names its setting.
+    # Every flag value, decode flags included, is refused as it parses, and
+    # the one-line message names the flag.
     out = tmp_path / "out.json"
     args = {
         "train": ["--data", ws["train"], "--listener-out", tmp_path / "listener.json"],
@@ -165,8 +195,7 @@ def test_non_finite_float_settings_are_usage_errors(ws, tmp_path, capsys, comman
     }[command]
     assert run(command, *args, "--schema", ws["schema"], "--out", out, flag, value) == 2
     err = capsys.readouterr().err.splitlines()
-    named = "error: alpha " if flag == "--alpha" else f"error: argument {flag}: "
-    assert len(err) == 1 and err[0].startswith(named)
+    assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: ")
     assert not out.exists() and not (tmp_path / "listener.json").exists()
 
 

@@ -37,7 +37,7 @@ from praggen.core import (
     tokenize,
     validate_mr,
 )
-from praggen.data import default_grammar
+from praggen.data import RESTAURANT_SCHEMA
 
 WORDS = ["area", "riverside", "cheap", "pub", "food", "the", "a", "is"]
 
@@ -301,7 +301,7 @@ def test_schema_rejects_duplicate_names():
 
 def test_schema_lookup_and_iteration():
     schema = small_schema()
-    assert schema.names() == ("name", "area", "priceRange", "familyFriendly")
+    assert tuple(a.name for a in schema) == ("name", "area", "priceRange", "familyFriendly")
     assert schema.attribute("area").values == ("riverside", "city centre")
     assert schema.has("area") and not schema.has("food")
     with pytest.raises(KeyError):
@@ -322,7 +322,7 @@ def test_schema_dict_round_trip():
 
 
 def test_default_schema_shape():
-    schema = default_grammar().schema
+    schema = RESTAURANT_SCHEMA
     assert len(schema) == 8
     assert schema.attribute("name").kind == KIND_DELEXICALIZED
     assert schema.attribute("familyFriendly").lexicon

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from praggen.core import (
@@ -10,10 +8,9 @@ from praggen.core import (
     normalize_words,
 )
 from praggen.data import (
+    RESTAURANT_SCHEMA,
     CorpusRecord,
-    SyntheticGrammar,
     build_corpus_vocabulary,
-    default_grammar,
     delexicalize,
     generate_corpus,
     read_jsonl,
@@ -24,106 +21,56 @@ from praggen.data import (
 from test_core import small_schema
 
 
-def tiny_grammar(**overrides):
-    schema = small_schema()
-    parts = dict(
-        schema=schema,
-        templates={
-            "name": ("{v} is", "{v} stands as"),
-            "area": ("in the {v}", "found {v}"),
-            "priceRange": ("a {v} venue", "priced {v}"),
-        },
-        boolean_templates={
-            "familyFriendly": {
-                "yes": ("family friendly", "good for kids"),
-                "no": ("not family friendly", "adults only"),
-            }
-        },
-        value_weights={
-            "area": (0.7, 0.3),
-            "priceRange": (0.5, 0.5),
-            "familyFriendly": (0.6, 0.4),
-        },
-        surface_pools={"name": ("Aromi", "The Mill")},
-        presence={"area": 0.8, "priceRange": 0.8, "familyFriendly": 0.8},
-        omission_rate=0.1,
-    )
-    parts.update(overrides)
-    return SyntheticGrammar(**parts)
-
-
-# ── grammar validation ───────────────────────────────────────────────────────
-
-
-def test_grammar_accepts_a_well_formed_spec():
-    tiny_grammar()
-
-
-def test_grammar_rejects_bad_omission_rate():
-    with pytest.raises(ValueError, match="omission_rate"):
-        tiny_grammar(omission_rate=1.5)
-
-
 # ── sampling ─────────────────────────────────────────────────────────────────
 
 
+def test_grammar_rejects_bad_omission_rate():
+    for rate in (1.5, -0.1):
+        with pytest.raises(ValueError, match="omission_rate"):
+            generate_corpus(1, 0, rate)
+
+
 def test_corpus_generation_is_seed_deterministic():
-    grammar = default_grammar()
-    first = generate_corpus(grammar, 50, 7)
-    second = generate_corpus(grammar, 50, 7)
+    first = generate_corpus(50, 7, 0.1)
+    second = generate_corpus(50, 7, 0.1)
     assert first == second
-    shifted = generate_corpus(grammar, 50, 8)
+    shifted = generate_corpus(50, 8, 0.1)
     assert shifted != first
 
 
 def test_corpus_ids_are_zero_padded_and_prefixed():
-    records = generate_corpus(tiny_grammar(), 3, 1, id_prefix="dev")
+    records = generate_corpus(3, 1, 0.1, id_prefix="dev")
     assert [r.id for r in records] == ["dev-00000", "dev-00001", "dev-00002"]
-    assert generate_corpus(tiny_grammar(), 0, 1) == []
+    assert generate_corpus(0, 1, 0.1) == []
     with pytest.raises(ValueError, match="non-negative"):
-        generate_corpus(tiny_grammar(), -1, 1)
+        generate_corpus(-1, 1, 0.1)
 
 
 def test_head_attribute_is_always_sampled():
-    for record in generate_corpus(tiny_grammar(), 40, 3):
+    for record in generate_corpus(40, 3, 0.1):
         assert record.mr.get("name") is not None
 
 
 def test_zero_omission_realizes_every_categorical_value():
-    for grammar in (tiny_grammar(omission_rate=0.0), default_grammar(0.0)):
-        categorical = [s.name for s in grammar.schema if s.kind == KIND_CATEGORICAL]
-        rng = random.Random(5)
-        for _ in range(60):
-            mr = grammar.sample_mr(rng)
-            text = grammar.realize(mr, rng).lower()
-            for attr in categorical:
-                value = mr.get(attr)
-                if value is not None:
-                    assert value.lower() in text, (attr, text)
+    categorical = [s.name for s in RESTAURANT_SCHEMA if s.kind == KIND_CATEGORICAL]
+    for record in generate_corpus(60, 5, 0.0):
+        text = record.reference.lower()
+        for attr in categorical:
+            value = record.mr.get(attr)
+            if value is not None:
+                assert value.lower() in text, (attr, text)
 
 
 def test_full_omission_leaves_only_the_head_clause():
-    grammar = tiny_grammar(omission_rate=1.0)
-    rng = random.Random(6)
-    for _ in range(20):
-        mr = grammar.sample_mr(rng)
-        assert grammar.realize(mr, rng).endswith("a place to eat .")
+    for record in generate_corpus(20, 6, 1.0):
+        assert record.reference.endswith(" is a place to eat .")
 
 
-def test_realize_requires_the_head():
-    grammar = tiny_grammar()
-    with pytest.raises(ValueError, match="head attribute"):
-        grammar.realize(MeaningRepresentation({"area": "riverside"}), random.Random(0))
-
-
-def test_default_grammar_matches_the_default_schema():
-    grammar = default_grammar(omission_rate=0.25)
-    assert grammar.omission_rate == 0.25
-    assert grammar.schema.names() == (
+def test_restaurant_schema_names_the_eight_attributes():
+    assert tuple(a.name for a in RESTAURANT_SCHEMA) == (
         "name", "eatType", "food", "priceRange",
         "customerRating", "area", "familyFriendly", "near",
     )
-
 
 
 # ── delexicalization ─────────────────────────────────────────────────────────
@@ -158,7 +105,7 @@ def test_delexicalize_respects_word_boundaries():
 
 
 def test_delexicalize_handles_both_placeholders():
-    schema = default_grammar().schema
+    schema = RESTAURANT_SCHEMA
     record = CorpusRecord(
         id="r1",
         mr=MeaningRepresentation({"name": "Aromi", "near": "The Bakers"}),
@@ -185,7 +132,7 @@ def test_delexicalize_leaves_placeholder_values_alone():
 
 
 def test_relexicalize_round_trip():
-    schema = default_grammar().schema
+    schema = RESTAURANT_SCHEMA
     record = CorpusRecord(
         id="r1",
         mr=MeaningRepresentation({"name": "Aromi", "near": "The Bakers"}),

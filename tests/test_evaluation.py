@@ -11,7 +11,7 @@ from praggen.core import (
     normalize_words,
     tokenize,
 )
-from praggen.data import CorpusRecord, build_corpus_vocabulary, default_grammar
+from praggen.data import RESTAURANT_SCHEMA, CorpusRecord, build_corpus_vocabulary
 from praggen.evaluation import (
     CoverageMatcher,
     ablation_matrix,
@@ -221,7 +221,7 @@ def test_matcher_ignores_boolean_polarity():
 
 
 def test_matcher_knows_hyphenated_lexicon_entries():
-    matcher = CoverageMatcher(default_grammar().schema)
+    matcher = CoverageMatcher(RESTAURANT_SCHEMA)
     assert matcher.mentions("familyFriendly", "yes", "a family-friendly cafe .")
 
 

@@ -26,8 +26,8 @@ from praggen.listener import (
     train_attribute_listener,
 )
 from praggen.data import (
+    RESTAURANT_SCHEMA,
     build_corpus_vocabulary,
-    default_grammar,
     delexicalize,
     generate_corpus,
 )
@@ -189,12 +189,11 @@ def test_scores_match_the_per_attribute_reference_bit_for_bit():
     # A synth corpus with its own listener: every record's MR against its
     # own and two other references, then random bags of every length,
     # structural ids included, against random MRs of the corpus.
-    grammar = default_grammar()
-    records = [delexicalize(r, grammar.schema) for r in generate_corpus(grammar, 300, 17)]
-    vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records],
-                                    grammar.schema)
+    schema = RESTAURANT_SCHEMA
+    records = [delexicalize(r, schema) for r in generate_corpus(300, 17, 0.1)]
+    vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records], schema)
     pairs = [(r.mr, tokenize(r.reference, vocab)) for r in records]
-    listener = train_attribute_listener(pairs, grammar.schema, k=0.5, vocab=vocab)
+    listener = train_attribute_listener(pairs, schema, k=0.5, vocab=vocab)
     rng = random.Random(3)
     cases = [(pairs[i][0], pairs[j][1]) for i in range(60) for j in (i, i + 1, i + 7)]
     others = [i for i in range(len(vocab)) if i != EOS_ID]
