@@ -18,6 +18,8 @@ from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from .core import (
+    RESERVED_TOKENS,
+    STRUCTURAL_IDS,
     AttributeSchema,
     TokenSequence,
     detokenize,
@@ -34,6 +36,7 @@ from .data import (
     generate_corpus,
     has_unmapped_placeholder,
     iter_jsonl,
+    iter_records,
     read_jsonl,
     relexicalize,
     write_jsonl,
@@ -55,6 +58,10 @@ from .evaluation import (
 from .listener import load_listener, save_listener, train_attribute_listener
 from .pragmatics import MODE_DISTRACTOR, MODE_RECONSTRUCTOR, MODES, DecodeConfig, generate
 from .speaker import load_speaker, save_speaker, train_ngram_speaker
+
+
+# Words a training reference may not hold: the speaker reads them as markers.
+_STRUCTURAL_WORDS = frozenset(RESERVED_TOKENS[i] for i in STRUCTURAL_IDS)
 
 
 class UsageError(Exception):
@@ -160,25 +167,38 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _training_pairs(records: list[CorpusRecord], schema: AttributeSchema):
-    if not records:
+def _training_pairs(path: str, schema: AttributeSchema):
+    """The delexicalized MRs of the records in ``path``, their references as
+    ids, and the vocabulary of those references. Each record is
+    delexicalized as it is read, so only its MR and words are kept."""
+    _require_file(path, "data file")
+    mrs, references = [], []
+    try:
+        for lineno, record in iter_records(path, schema):
+            record = delexicalize(record, schema)
+            words = normalize_words(record.reference)
+            if not _STRUCTURAL_WORDS.isdisjoint(words):
+                word = next(w for w in words if w in _STRUCTURAL_WORDS)
+                raise DataError(
+                    f"{path}: line {lineno}: reference holds the structural token {word!r}"
+                )
+            mrs.append(record.mr)
+            references.append(words)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not mrs:
         raise UsageError("training data is empty")
-    delexed = [delexicalize(r, schema) for r in records]
-    references = [normalize_words(r.reference) for r in delexed]
     vocab = build_corpus_vocabulary(references, schema)
-    pairs = [(r.mr, TokenSequence(map(vocab.id, words)))
-             for r, words in zip(delexed, references)]
-    return pairs, vocab
+    return mrs, [TokenSequence(map(vocab.id, words)) for words in references], vocab
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     if args.listener_out and Path(args.listener_out).resolve() == Path(args.out).resolve():
         raise UsageError("--out and --listener-out must be different files")
     schema = _load("schema", args.schema, load_schema)
-    records = _read_records(args.data, schema)
-    pairs, vocab = _training_pairs(records, schema)
+    mrs, outputs, vocab = _training_pairs(args.data, schema)
     speaker = train_ngram_speaker(
-        pairs,
+        zip(mrs, outputs),
         args.order,
         args.k,
         vocab=vocab,
@@ -187,10 +207,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     out = _output_path(args.out)
     save_speaker(speaker, out)
-    print(f"trained order-{args.order} speaker on {len(pairs)} pairs "
+    print(f"trained order-{args.order} speaker on {len(mrs)} pairs "
           f"(vocab {len(vocab.tokens)}), saved to {out}")
     if args.listener_out is not None:
-        listener = train_attribute_listener(pairs, schema, k=args.listener_k, vocab=vocab)
+        listener = train_attribute_listener(
+            zip(mrs, outputs), schema, k=args.listener_k, vocab=vocab
+        )
         save_listener(listener, _output_path(args.listener_out))
         print(f"trained attribute-nb listener, saved to {args.listener_out}")
     return 0

@@ -76,14 +76,18 @@ def normalize_words(text: str) -> list[str]:
     """
     for mark in ".,!?":  # a pass adds only spaces, so no mark is spaced twice
         text = text.replace(mark, f" {mark} ")
-    words: list[str] = []
-    for raw in text.split():
-        upper = raw.upper()
-        if upper in PLACEHOLDER_TOKENS:
-            words.append(upper)
-        else:
-            words.append(raw.lower())
+    # Lowercasing looks past a "." to place a final sigma but never past a
+    # space, so once the marks are spaced each word lowers on its own.
+    lowered = text.lower()
+    words = lowered.split()
+    if "_plh" in lowered:
+        return list(map(_PLACEHOLDER_WORDS.get, words, words))
     return words
+
+
+# No letter outside ASCII lowers or uppercases into a placeholder's letters,
+# so a word is a placeholder exactly when its lowercase form is one's.
+_PLACEHOLDER_WORDS = {token.lower(): token for token in PLACEHOLDER_TOKENS}
 
 
 # ── token sequences ─────────────────────────────────────────────────────────
@@ -102,12 +106,13 @@ class TokenSequence:
 
     def __init__(self, ids: Iterable[int], eos_id: int = EOS_ID) -> None:
         id_tuple = tuple(map(int, ids))
+        terminated = bool(id_tuple) and id_tuple[-1] == eos_id
         if id_tuple and min(id_tuple) < 0:
             raise ValueError("token ids must be non-negative")
-        if eos_id in id_tuple[:-1]:
+        if id_tuple.count(eos_id) > terminated:
             raise ValueError("EOS may only appear in final position")
         object.__setattr__(self, "ids", id_tuple)
-        object.__setattr__(self, "terminated", bool(id_tuple) and id_tuple[-1] == eos_id)
+        object.__setattr__(self, "terminated", terminated)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TokenSequence is immutable")
@@ -147,7 +152,7 @@ class Vocabulary:
     placeholders, in that order. All other tokens follow.
     """
 
-    __slots__ = ("_tokens", "_ids")
+    __slots__ = ("_tokens", "_ids", "id")
 
     def __init__(self, tokens: Sequence[str]) -> None:
         tokens = list(tokens)
@@ -162,6 +167,9 @@ class Vocabulary:
             ids[tok] = idx
         self._tokens = tuple(tokens)
         self._ids = ids
+        # Id of a token; raises ``KeyError`` for unknown tokens. Bound to the
+        # dict, so mapping a corpus's words costs no Python call per word.
+        self.id = ids.__getitem__
 
     @classmethod
     def build(cls, extra_tokens: Iterable[str]) -> "Vocabulary":
@@ -178,10 +186,6 @@ class Vocabulary:
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._tokens
-
-    def id(self, token: str) -> int:
-        """Id of ``token``; raises ``KeyError`` for unknown tokens."""
-        return self._ids[token]
 
     def id_or_unk(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
@@ -438,9 +442,9 @@ def validate_mr(mr: MeaningRepresentation, schema: AttributeSchema) -> None:
     them with their placeholder.
     """
     for attr, value in mr.items():
-        if not schema.has(attr):
+        spec = schema._by_name.get(attr)
+        if spec is None:
             raise ValueError(f"MR assigns unknown attribute {attr!r}")
-        spec = schema.attribute(attr)
         if spec.kind == KIND_DELEXICALIZED:
             if not value:
                 raise ValueError(f"attribute {attr!r} has an empty value")
@@ -451,33 +455,45 @@ def validate_mr(mr: MeaningRepresentation, schema: AttributeSchema) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _clause_words(attribute: str, value: str) -> tuple[str, ...]:
-    """The canonical words of one ``attribute value`` clause; the few schema
-    strings recur in every MR, so each pair is normalized once."""
-    return tuple(normalize_words(attribute) + normalize_words(value))
+def _clause_ids(vocab: Vocabulary, attribute: str, value: str) -> tuple[int, ...]:
+    """The ids of one ``attribute value`` clause; the few schema strings
+    recur in every MR, so each pair is normalized and looked up once per
+    vocabulary."""
+    words = normalize_words(attribute) + normalize_words(value)
+    if missing := [word for word in words if word not in vocab]:
+        raise UnbuildableContextError(
+            f"unbuildable context: token {missing[0]!r} "
+            f"(attribute {attribute!r}) is not in the vocabulary"
+        )
+    return tuple(map(vocab.id, words))
 
 
 def linearize_mr(
     mr: MeaningRepresentation, schema: AttributeSchema, vocab: Vocabulary
-) -> TokenSequence:
-    """Flatten an MR to ``attr value-tokens ...`` clauses plus a final SEP.
+) -> tuple[int, ...]:
+    """Flatten an MR to the ids of ``attr value-tokens ...`` clauses plus a
+    final SEP.
 
     Clauses follow schema order, so the mapping is injective over valid MRs.
-    The empty MR linearizes to ``[<sep>]``.
+    The empty MR linearizes to ``[<sep>]``. ``mr`` is checked in the same
+    pass over the schema, and refused with ``validate_mr``'s message.
     """
-    validate_mr(mr, schema)
     ids: list[int] = []
+    clauses = 0
+    get = mr.assignments.get
     for spec in schema:
-        value = mr.get(spec.name)
+        value = get(spec.name)
         if value is None:
             continue
-        for word in _clause_words(spec.name, value):
-            try:
-                ids.append(vocab.id(word))
-            except KeyError:
-                raise UnbuildableContextError(
-                    f"unbuildable context: token {word!r} "
-                    f"(attribute {spec.name!r}) is not in the vocabulary"
-                ) from None
+        if not (value if spec.kind == KIND_DELEXICALIZED else value in spec.values):
+            break
+        clauses += 1
+        try:
+            ids.extend(_clause_ids(vocab, spec.name, value))
+        except UnbuildableContextError:
+            validate_mr(mr, schema)  # an invalid MR is refused as invalid first
+            raise
+    if clauses != len(mr.assignments):
+        validate_mr(mr, schema)  # an assignment is bad, so this raises
     ids.append(SEP_ID)
-    return TokenSequence(ids)
+    return tuple(ids)

@@ -19,6 +19,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -191,7 +192,22 @@ def _surface_pattern(surface: str) -> re.Pattern:
 def _replace_surface(text: str, surface: str, replacement: str) -> str:
     """``text`` with each whole-word ``surface`` replaced by ``replacement``,
     inserted literally: a backslash in a name is not a regex escape."""
-    return _surface_pattern(surface).sub(lambda _: replacement, text)
+    pattern = _surface_pattern(surface)
+    if not (surface and text.isascii() and surface.isascii()):
+        return pattern.sub(replacement.replace("\\", r"\\"), text)
+    # In ASCII text a case-insensitive match can start only where the
+    # lowercased surface occurs in the lowercased text, so the pattern is
+    # tried there alone instead of at every position.
+    folded, key = text.lower(), surface.lower()
+    pieces, end, at = [], 0, folded.find(key)
+    while at >= 0:
+        if match := pattern.match(text, at):
+            pieces += (text[end:at], replacement)
+            end = match.end()
+            at = folded.find(key, end)
+        else:
+            at = folded.find(key, at + 1)
+    return "".join(pieces) + text[end:]
 
 
 def delexicalize(record: CorpusRecord, schema: AttributeSchema) -> CorpusRecord:
@@ -207,12 +223,12 @@ def delexicalize(record: CorpusRecord, schema: AttributeSchema) -> CorpusRecord:
     for spec in schema:
         if spec.kind != KIND_DELEXICALIZED:
             continue
-        value = assignments.get(spec.name)
-        if value is None or value == spec.placeholder:
+        value, placeholder = assignments.get(spec.name), spec.placeholder
+        if value is None or value == placeholder:
             continue
-        text = _replace_surface(text, value, spec.placeholder)
-        mapping[spec.placeholder] = value
-        assignments[spec.name] = spec.placeholder
+        text = _replace_surface(text, value, placeholder)
+        mapping[placeholder] = value
+        assignments[spec.name] = placeholder
     return CorpusRecord(
         id=record.id,
         mr=MeaningRepresentation(assignments),
@@ -283,12 +299,14 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, payload
 
 
-def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[CorpusRecord]:
-    """Load records, validating shape (and the MR against ``schema`` if given)."""
-    records = []
+def iter_records(
+    path: str | Path, schema: AttributeSchema | None = None
+) -> Iterator[tuple[int, CorpusRecord]]:
+    """Each record of a JSONL file with its line number, its shape (and its
+    MR against ``schema`` if given) validated as it is read."""
     seen: set[str] = set()
     for lineno, payload in iter_jsonl(path):
-        if not isinstance(payload, dict) or set(payload) != _RECORD_KEYS:
+        if not isinstance(payload, dict) or payload.keys() != _RECORD_KEYS:
             raise ValueError(
                 f"line {lineno}: record must have exactly the keys "
                 f"{sorted(_RECORD_KEYS)}"
@@ -301,7 +319,7 @@ def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[
         seen.add(rec_id)
         for key in ("mr", "delex"):
             obj = payload[key]
-            if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+            if not isinstance(obj, dict) or not all(map(isinstance, obj.values(), repeat(str))):
                 raise ValueError(f"line {lineno}: {key} must be an object of strings")
         if not isinstance(payload["ref"], str):
             raise ValueError(f"line {lineno}: ref must be a string")
@@ -311,15 +329,14 @@ def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[
                 validate_mr(mr, schema)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-        records.append(
-            CorpusRecord(
-                id=rec_id,
-                mr=mr,
-                reference=payload["ref"],
-                delex_map=dict(payload["delex"]),
-            )
+        yield lineno, CorpusRecord(
+            id=rec_id, mr=mr, reference=payload["ref"], delex_map=payload["delex"]
         )
-    return records
+
+
+def read_jsonl(path: str | Path, schema: AttributeSchema | None = None) -> list[CorpusRecord]:
+    """Load records, validating shape (and the MR against ``schema`` if given)."""
+    return [record for _, record in iter_records(path, schema)]
 
 
 # ── vocabulary assembly ─────────────────────────────────────────────────────

@@ -64,32 +64,31 @@ class AttributeClassifierListener:
         self.token_counts: dict[str, dict[str, Counter[int]]] = {
             name: {c: Counter() for c in classes} for name, classes in self.classes.items()
         }
-        # Each attribute's rows in the tables, which stack all classes.
+        # Each attribute's rows in the tables, which stack all classes, and
+        # the row of each of its classes.
         ends = accumulate(len(c) for c in self.classes.values())
         self._rows = {n: slice(e - len(c), e) for (n, c), e in zip(self.classes.items(), ends)}
+        self._class_rows = {
+            name: {c: row for row, c in enumerate(classes, self._rows[name].start)}
+            for name, classes in self.classes.items()
+        }
         self._starts = np.array([r.start for r in self._rows.values()])
         self._sizes = np.array([len(c) for c in self.classes.values()])
         self._log_tables: tuple[np.ndarray, np.ndarray] | None = None
 
-    # ── training ────────────────────────────────────────────────────────
-
-    def _class_index(self, mr: MeaningRepresentation, attribute: str) -> int:
-        """The index of the class that ``mr`` gives ``attribute``."""
-        value = mr.get(attribute)
-        try:
-            return self.classes[attribute].index(value if value is not None else ABSENT_CLASS)
-        except ValueError:
-            raise ValueError(
-                f"value {value!r} for attribute {attribute!r} is not a listener class"
-            ) from None
-
-    def observe(self, mr: MeaningRepresentation, output: TokenSequence) -> None:
-        bag = _bag_ids(output)
-        for spec in self.schema:
-            cls = self.classes[spec.name][self._class_index(mr, spec.name)]
-            self.class_counts[spec.name][cls] += 1
-            self.token_counts[spec.name][cls].update(bag)
-        self._log_tables = None
+    def _input_rows(self, mr: MeaningRepresentation) -> list[int]:
+        """The table row of the class that ``mr`` gives each attribute, in
+        schema order."""
+        rows, get = [], mr.assignments.get
+        for attribute, by_class in self._class_rows.items():
+            value = get(attribute)
+            row = by_class.get(ABSENT_CLASS if value is None else value)
+            if row is None:
+                raise ValueError(
+                    f"value {value!r} for attribute {attribute!r} is not a listener class"
+                )
+            rows.append(row)
+        return rows
 
     # ── smoothed tables ─────────────────────────────────────────────────
 
@@ -126,15 +125,14 @@ class AttributeClassifierListener:
         in schema order from 0.0; only those entries are formed, bit for bit."""
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("the attribute listener scores meaning representations")
+        rows = self._input_rows(input)
         scores = self._class_scores(output)
         tops = np.maximum.reduceat(scores, self._starts)
         shifted = np.exp(scores - tops.repeat(self._sizes))
         values = scores.tolist()
         total = 0.0
-        for spec, top in zip(self.schema, tops.tolist()):
-            rows = self._rows[spec.name]
-            idx = rows.start + self._class_index(input, spec.name)
-            total += values[idx] - (top + math.log(np.add.reduce(shifted[rows])))
+        for row, top, span in zip(rows, tops.tolist(), self._rows.values()):
+            total += values[row] - (top + math.log(np.add.reduce(shifted[span])))
         return total
 
 
@@ -148,13 +146,49 @@ def train_attribute_listener(
     *,
     vocab: Vocabulary,
 ) -> AttributeClassifierListener:
+    """Count-train an :class:`AttributeClassifierListener` on (MR, output)
+    pairs: each pair adds one to its MR's class of every attribute, and its
+    output's bag of words to each of those classes' token counts.
+
+    Each distinct MR's class rows are resolved once, one integer count fills
+    every distinct MR's pair and token counts, and each class row then adds
+    up the counts of the MRs that give its class.
+    """
     listener = AttributeClassifierListener(schema, vocab, k=k)
-    n = 0
+    size = len(vocab)
+    index: dict[tuple, int] = {}  # an MR's attributes, then values -> its place
+    rows, owners, ids, lengths = [], [], [], []
     for mr, output in corpus:
-        listener.observe(mr, output)
-        n += 1
-    if n == 0:
+        key = (*mr.assignments, *mr.assignments.values())
+        if (owner := index.get(key)) is None:
+            owner = index[key] = len(rows)
+            rows.append(listener._input_rows(mr))
+        owners.append(owner)
+        ids += output.ids
+        lengths.append(len(output.ids))
+    if not owners:
         raise ValueError("training corpus is empty")
+    ids = np.array(ids, dtype=np.intp)
+    if ids.size and ids.max() >= size:
+        raise ValueError(f"token id {ids.max()} is outside the vocabulary")
+    # Row d holds distinct MR d's bag token counts, then its pair count.
+    bag = ~np.isin(ids, list(STRUCTURAL_IDS))
+    cells = np.concatenate((
+        np.repeat(owners, lengths)[bag] * (size + 1) + ids[bag],
+        np.array(owners, dtype=np.intp) * (size + 1) + size,
+    ))
+    counts = np.bincount(cells, minlength=len(rows) * (size + 1)).reshape(len(rows), size + 1)
+    # A 0/1 product, so the float sums are exact integers below 2**53.
+    gives = np.zeros((int(listener._sizes.sum()), len(rows)))
+    gives[np.array(rows, dtype=np.intp).T, np.arange(len(rows))] = 1.0
+    table = (gives @ counts).astype(np.int64)
+    for attribute, by_class in listener._class_rows.items():
+        for cls, row in by_class.items():
+            listener.class_counts[attribute][cls] = int(table[row, size])
+            tokens = np.flatnonzero(table[row, :size])
+            listener.token_counts[attribute][cls].update(
+                dict(zip(tokens.tolist(), table[row, tokens].tolist()))
+            )
     return listener
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from itertools import chain
+from collections import Counter
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -43,6 +44,9 @@ RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray | None, np.nd
 # NGramSpeaker.row_source normalizes a stack of up to this many entries whole,
 # at 10-20 ns an entry; a larger one, row by row at 15-30 us a call.
 EAGER_STACK_SIZE = 1 << 16
+
+# Fills a training window that reaches back past the start of its context.
+_PAD = None
 
 
 class SpeakerModel(ABC):
@@ -121,35 +125,13 @@ class NGramSpeaker(SpeakerModel):
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
         self._plain_base: np.ndarray | None = None  # log_softmax of the table
 
-    # ── training ────────────────────────────────────────────────────────
-
-    def observe(self, input: object, output: TokenSequence) -> None:
-        """Accumulate window counts over ``[ctx ; BOS ; output ; EOS]``.
-
-        Only output positions (first output token through EOS) contribute
-        (history, next) pairs; their histories reach back across BOS into
-        the context tail, exactly the windows scoring later queries.
-        Counting transitions inside the context itself would bleed input
-        linearization statistics into the output distribution wherever the
-        two streams share tokens.
-        """
-        ctx = self.context_ids(input)
-        seq = (*ctx, BOS_ID, *output.core_ids(), EOS_ID)
-        span = self.order - 1
-        for t in range(len(ctx) + 1, len(seq)):
-            history = seq[max(0, t - span) : t]
-            nxt = seq[t]
-            row = self.counts.setdefault(history, {})
-            row[nxt] = row.get(nxt, 0) + 1
-        self._table = self._plain_base = None
-
     # ── scoring ─────────────────────────────────────
 
     def context_ids(self, input: object) -> tuple[int, ...]:
         if isinstance(input, MeaningRepresentation):
             if self.schema is None:
                 raise ValueError("a schema is required to linearize MR inputs")
-            return linearize_mr(input, self.schema, self.vocab).ids
+            return linearize_mr(input, self.schema, self.vocab)
         if isinstance(input, (tuple, list)):
             return tuple(int(i) for i in input)
         raise TypeError(f"unsupported speaker input type {type(input).__name__}")
@@ -253,14 +235,49 @@ def train_ngram_speaker(
     schema: AttributeSchema | None = None,
     copy_bonus: float = 0.0,
 ) -> NGramSpeaker:
-    """Count-train an :class:`NGramSpeaker` on (input, output) pairs."""
+    """Count-train an :class:`NGramSpeaker` on (input, output) pairs.
+
+    Each pair contributes the windows over ``[ctx ; BOS ; output ; EOS]``
+    whose next token is an output position (first output token through
+    EOS). Their histories reach back across BOS into the context tail,
+    exactly the windows scoring later queries, and are cut short at the
+    start of the context. Counting transitions inside the context itself
+    would bleed input linearization statistics into the output
+    distribution wherever the two streams share tokens.
+
+    All windows are counted in one pass: each pair adds its context's last
+    ``order - 1`` ids (padded at the front) and its output to one stream,
+    and the windows that end in an output position are counted together.
+    An MR's context is resolved once however often it recurs.
+    """
     model = NGramSpeaker(order, k, vocab, schema=schema, copy_bonus=copy_bonus)
-    n = 0
+    span = order - 1
+    heads: dict[tuple, tuple] = {}  # an MR's attributes, then values -> its window head
+
+    def head(input: object) -> tuple:
+        return ((_PAD,) * span + model.context_ids(input) + (BOS_ID,))[-span:]
+
+    stream: list = []
+    ends = bytearray()  # 1 where a window starting there ends in an output position
+    tail = bytes(span)
     for input, output in corpus:
-        model.observe(input, output)
-        n += 1
-    if n == 0:
+        if isinstance(input, MeaningRepresentation):
+            key = (*input.assignments, *input.assignments.values())
+            stream += heads.get(key) or heads.setdefault(key, head(input))
+        else:
+            stream += head(input)
+        stream += output.core_ids()
+        stream.append(EOS_ID)
+        ends += b"\1" * (len(stream) - len(ends) - span) + tail
+    if not stream:
         raise ValueError("training corpus is empty")
+    windows = Counter(compress(zip(*(stream[i:] for i in range(order))), ends))
+    for window, n in windows.items():
+        history = window[window.count(_PAD) : -1]
+        row = model.counts.get(history)
+        if row is None:
+            row = model.counts[history] = {}
+        row[window[-1]] = n
     return model
 
 

@@ -1,4 +1,5 @@
-"""Micro models, brute-force rankings and a reference engine for the tests.
+"""Micro models, brute-force rankings, a reference engine and reference
+training counters for the tests.
 
 Oracle scores here are accumulated with plain ``math`` calls over Python
 lists, independent of the package's numpy helpers, so an agreement test
@@ -12,12 +13,22 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
-from praggen.core import BOS_ID, EOS_ID, SEP_ID, DegenerateDistributionError, log_softmax
+from praggen.core import (
+    BOS_ID,
+    EOS_ID,
+    SEP_ID,
+    DegenerateDistributionError,
+    MeaningRepresentation,
+    TokenSequence,
+    log_softmax,
+)
 from praggen.listener import ABSENT_CLASS
 from praggen.speaker import SpeakerModel
 
@@ -351,3 +362,54 @@ def reference_reconstruction_logprob(listener, mr, output) -> float:
         idx = classes.index(value if value is not None else ABSENT_CLASS)
         total += float(_reference_log_softmax(scores)[idx])
     return total
+
+
+def meaning_representations(schema):
+    """MRs that give each attribute of ``schema`` one of its values or none."""
+    choices = [st.sampled_from((None, *spec.values)) for spec in schema]
+    return st.tuples(*choices).map(lambda values: MeaningRepresentation(
+        {spec.name: v for spec, v in zip(schema, values) if v is not None}))
+
+
+def token_sequences(size: int, max_len: int = 5):
+    """Sequences of up to ``max_len`` ids below ``size``, any id but EOS,
+    terminated or not."""
+    ids = st.lists(st.integers(0, size - 1).filter(lambda i: i != EOS_ID), max_size=max_len)
+    return st.tuples(ids, st.booleans()).map(lambda t: TokenSequence(t[0] + [EOS_ID] * t[1]))
+
+
+def reference_ngram_counts(speaker, pairs) -> dict:
+    """The n-gram speaker's training counts, walked one output position at
+    a time: each position from the first output token through EOS counts
+    its next token after the window reaching back across BOS into the
+    context, cut short at the start of the context."""
+    span = speaker.order - 1
+    counts: dict = {}
+    for input, output in pairs:
+        ctx = speaker.context_ids(input)
+        seq = (*ctx, BOS_ID, *output.core_ids(), EOS_ID)
+        for t in range(len(ctx) + 1, len(seq)):
+            row = counts.setdefault(seq[max(0, t - span) : t], {})
+            row[seq[t]] = row.get(seq[t], 0) + 1
+    return counts
+
+
+def reference_listener_counts(listener, pairs) -> tuple[dict, dict]:
+    """The attribute listener's class and token counts, walked one pair and
+    one attribute at a time, each token count as a plain dict."""
+    class_counts = {name: dict.fromkeys(classes, 0) for name, classes in listener.classes.items()}
+    token_counts = {name: {c: Counter() for c in classes}
+                    for name, classes in listener.classes.items()}
+    for mr, output in pairs:
+        bag = [t for t in output.ids if t not in (BOS_ID, EOS_ID, SEP_ID)]
+        for spec in listener.schema:
+            value = mr.get(spec.name)
+            cls = ABSENT_CLASS if value is None else value
+            class_counts[spec.name][cls] += 1
+            token_counts[spec.name][cls].update(bag)
+    return class_counts, plain_token_counts(token_counts)
+
+
+def plain_token_counts(token_counts: dict) -> dict:
+    return {name: {c: dict(row) for c, row in by_class.items()}
+            for name, by_class in token_counts.items()}

@@ -235,10 +235,19 @@ def test_train_is_deterministic(ws, tmp_path):
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
     (["--order", 5], "8c5716672a7b59c11750b42c67a14e3c1998bbd9fa6728bdadf0d342821930f8",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
-], ids=["defaults", "order5"])
+    (["--order", 2], "b80fdaf043e71956038655039a09a834f17e2f7fea6670be57ad69182ac77435",
+     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+    (["--order", 12], "7bfff010288a19285cfeea77388497b7e726cad60d11f0e558123e21871795b1",
+     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+    (["--k", 0.5, "--copy-bonus", 0, "--listener-k", 2],
+     "f05990e6d1f7391cb2a8a2bae39084cb31ad141a27b884d6c5a75e944902a8c7",
+     "11f1952f15a95ed04b6b7b2a282e36b198e49e8de1cc041fc11877e0d79e5567"),
+], ids=["defaults", "order5", "order2", "order12", "smoothing"])
 def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, listener_sha):
     # The digests pin the model files to the bytes training wrote when they
     # were recorded, so a faster training path must count exactly the same.
+    # At order 12 each record's first windows reach back past the start of
+    # its context and are cut short there.
     data = tmp_path / "data"
     assert run("synth", "--out", data, "--seed", 3, "--train-size", 300,
                "--dev-size", 10, "--test-size", 10) == 0
@@ -269,7 +278,7 @@ def test_train_refuses_one_file_for_speaker_and_listener(ws, tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
-def test_train_input_errors(ws, tmp_path):
+def test_train_input_errors(ws, tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert run("train", "--data", missing, "--schema", ws["schema"],
                "--out", tmp_path / "m.json") == 2
@@ -286,6 +295,29 @@ def test_train_input_errors(ws, tmp_path):
 
     assert run("train", "--data", ws["train"], "--schema", ws["schema"],
                "--out", tmp_path / "m.json", "--order", 1) == 2
+    capsys.readouterr()
+
+    # A bad second record is refused with its line and no model is written:
+    # a reference holding a structural token, or an MR the schema refuses.
+    first = ws["train"].read_text(encoding="utf-8").splitlines()[0]
+    second = json.loads(first) | {"id": "second"}
+    bad_seconds = {
+        "<eos>": {"ref": "the <EOS> place ."},
+        "<bos>": {"ref": "the <bos> <sep> place ."},
+        "<sep>": {"ref": "the place <sep>"},
+        "'martian'": {"mr": second["mr"] | {"food": "martian"}},
+        "'moon'": {"mr": second["mr"] | {"moon": "full"}},
+    }
+    for shown, edit in bad_seconds.items():
+        data = tmp_path / "bad.jsonl"
+        data.write_text(first + "\n" + json.dumps(second | edit) + "\n", encoding="utf-8")
+        out, listener = tmp_path / "bad" / "s.json", tmp_path / "bad" / "l.json"
+        assert run("train", "--data", data, "--schema", ws["schema"],
+                   "--out", out, "--listener-out", listener) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {data}: line 2: "), err
+        assert shown in err[0]
+        assert not out.exists() and not listener.exists()
 
 
 # ── generate ─────────────────────────────────────────────────────────────────

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from praggen.core import (
     KIND_CATEGORICAL,
@@ -146,6 +149,28 @@ def test_relexicalize_inserts_surfaces_literally():
     delex_map = {NAME_PLACEHOLDER: "AC\\DC bar", NEAR_PLACEHOLDER: "the \\g<0> inn"}
     text = f"{NAME_PLACEHOLDER} is near {NEAR_PLACEHOLDER} ."
     assert relexicalize(text, delex_map) == "AC\\DC bar is near the \\g<0> inn ."
+
+
+def regex_replace_surface(text, surface, replacement):
+    """Whole-word, case-insensitive replacement by the surface's pattern at
+    every position, kept as the reference for the surface replacement."""
+    pattern = re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)", re.IGNORECASE)
+    return pattern.sub(lambda _: replacement, text)
+
+
+# ASCII text takes the search for the lowercased surface, any other text the
+# pattern alone; the letters outside ASCII match ASCII ones case-insensitively.
+@example("ba a a", "a a", "X")  # a refused match overlaps a match
+@example("s K", "ſ \u212a", "X")
+@given(
+    st.text(alphabet="aAbBkKsSi_1 .-ıſİ\u212aé", max_size=14),
+    st.text(alphabet="aAbBkKsSi_1 .-ſ\u212a", max_size=3),
+    st.sampled_from(["NAME_PLH", "", "x\\1y", "a\\g<0>"]),
+)
+def test_surface_replacement_equals_the_whole_pattern(text, surface, replacement):
+    assert relexicalize(text, {surface: replacement}) == regex_replace_surface(
+        text, surface, replacement
+    )
 
 
 # ── JSONL round trips ────────────────────────────────────────────────────────

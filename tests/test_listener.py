@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from praggen.core import (
     EOS_ID,
@@ -31,7 +32,14 @@ from praggen.data import (
     delexicalize,
     generate_corpus,
 )
-from support import logsumexp, reference_reconstruction_logprob
+from support import (
+    logsumexp,
+    meaning_representations,
+    plain_token_counts,
+    reference_listener_counts,
+    reference_reconstruction_logprob,
+    token_sequences,
+)
 
 
 def area_price_schema():
@@ -206,6 +214,28 @@ def test_scores_match_the_per_attribute_reference_bit_for_bit():
         assert got.hex() == want.hex()
 
 
+TRAINING_SCHEMA = AttributeSchema(
+    attributes=(
+        AttributeSpec("name", KIND_DELEXICALIZED, (NAME_PLACEHOLDER,)),
+        *area_price_schema().attributes,
+    )
+)
+TRAINING_VOCAB = Vocabulary.build(TRAINING_SCHEMA.tokens() + ["spot"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(meaning_representations(TRAINING_SCHEMA), token_sequences(len(TRAINING_VOCAB))),
+    min_size=1, max_size=8,
+))
+def test_training_counts_equal_the_per_pair_walk(pairs):
+    # Outputs hold structural ids too, which stay out of the bags.
+    listener = train_attribute_listener(pairs, TRAINING_SCHEMA, k=0.5, vocab=TRAINING_VOCAB)
+    class_counts, token_counts = reference_listener_counts(listener, pairs)
+    assert listener.class_counts == class_counts
+    assert plain_token_counts(listener.token_counts) == token_counts
+
+
 def test_reconstruction_scores_are_nonpositive():
     schema, vocab, pairs, listener = toy_setup()
     for mr, output in pairs:
@@ -225,6 +255,9 @@ def test_listener_validation_errors():
             AttributeClassifierListener(schema, vocab, k=bad)
     with pytest.raises(ValueError, match="empty"):
         train_attribute_listener([], schema, k=0.5, vocab=vocab)
+    outside = [(pairs[0][0], TokenSequence([len(vocab)]))]
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        train_attribute_listener(outside, schema, k=0.5, vocab=vocab)
 
 
 def test_delexicalized_attribute_uses_placeholder_class():
