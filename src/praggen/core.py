@@ -426,7 +426,10 @@ class MeaningRepresentation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeaningRepresentation):
             return NotImplemented
-        return dict(self.assignments) == dict(other.assignments)
+        return self.assignments == other.assignments
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.assignments.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.assignments.items())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
@@ -42,9 +41,11 @@ def _bag_ids(output: TokenSequence) -> list[int]:
 class AttributeClassifierListener:
     """Per-attribute bag-of-words naive Bayes with add-k smoothing.
 
-    ``class_counts`` and ``token_counts`` hold raw training counts; the
-    smoothed log matrices are materialized once and reused. A freshly
-    constructed listener (all counts zero) yields uniform posteriors.
+    ``counts`` holds the raw training counts as one (classes, V + 1) integer
+    matrix: a row per class, attributes in schema order and each one's
+    classes in ``classes`` order, of its bag-token counts and then its pair
+    count. The smoothed log matrices are materialized once and reused. A
+    freshly constructed listener (all counts zero) yields uniform posteriors.
     """
 
     def __init__(
@@ -58,12 +59,6 @@ class AttributeClassifierListener:
         self.classes: dict[str, tuple[str, ...]] = {
             spec.name: tuple(spec.values) + (ABSENT_CLASS,) for spec in schema
         }
-        self.class_counts: dict[str, dict[str, int]] = {
-            name: {c: 0 for c in classes} for name, classes in self.classes.items()
-        }
-        self.token_counts: dict[str, dict[str, Counter[int]]] = {
-            name: {c: Counter() for c in classes} for name, classes in self.classes.items()
-        }
         # Each attribute's rows in the tables, which stack all classes, and
         # the row of each of its classes.
         ends = accumulate(len(c) for c in self.classes.values())
@@ -74,6 +69,7 @@ class AttributeClassifierListener:
         }
         self._starts = np.array([r.start for r in self._rows.values()])
         self._sizes = np.array([len(c) for c in self.classes.values()])
+        self.counts = np.zeros((int(self._sizes.sum()), len(vocab) + 1), dtype=np.int64)
         self._log_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def _input_rows(self, mr: MeaningRepresentation) -> list[int]:
@@ -95,14 +91,12 @@ class AttributeClassifierListener:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Log priors (classes,) and token log-likelihoods (V, classes)."""
         if self._log_tables is None:
-            priors = []
-            for name, classes in self.classes.items():
-                counts = np.array([self.class_counts[name][c] for c in classes], dtype=float)
-                priors.append(
-                    np.log(counts + self.k) - math.log(counts.sum() + self.k * len(classes))
-                )
-            rows = [row for by_class in self.token_counts.values() for row in by_class.values()]
-            prior = np.concatenate(priors)
+            pairs = self.counts[:, -1].astype(float)
+            totals = [math.log(pairs[r].sum() + self.k * (r.stop - r.start))
+                      for r in self._rows.values()]
+            prior = np.log(pairs + self.k) - np.repeat(totals, self._sizes)
+            # add_k_rows reads each class's nonzero token counts.
+            rows = [{t: c for t, c in enumerate(row) if c} for row in self.counts[:, :-1].tolist()]
             tok = np.ascontiguousarray(add_k_rows(rows, self.k, len(self.vocab)).T)
             prior.setflags(write=False)
             tok.setflags(write=False)
@@ -156,12 +150,11 @@ def train_attribute_listener(
     """
     listener = AttributeClassifierListener(schema, vocab, k=k)
     size = len(vocab)
-    index: dict[tuple, int] = {}  # an MR's attributes, then values -> its place
+    index: dict[MeaningRepresentation, int] = {}  # an MR -> its place
     rows, owners, ids, lengths = [], [], [], []
     for mr, output in corpus:
-        key = (*mr.assignments, *mr.assignments.values())
-        if (owner := index.get(key)) is None:
-            owner = index[key] = len(rows)
+        if (owner := index.get(mr)) is None:
+            owner = index[mr] = len(rows)
             rows.append(listener._input_rows(mr))
         owners.append(owner)
         ids += output.ids
@@ -181,14 +174,7 @@ def train_attribute_listener(
     # A 0/1 product, so the float sums are exact integers below 2**53.
     gives = np.zeros((int(listener._sizes.sum()), len(rows)))
     gives[np.array(rows, dtype=np.intp).T, np.arange(len(rows))] = 1.0
-    table = (gives @ counts).astype(np.int64)
-    for attribute, by_class in listener._class_rows.items():
-        for cls, row in by_class.items():
-            listener.class_counts[attribute][cls] = int(table[row, size])
-            tokens = np.flatnonzero(table[row, :size])
-            listener.token_counts[attribute][cls].update(
-                dict(zip(tokens.tolist(), table[row, tokens].tolist()))
-            )
+    listener.counts = (gives @ counts).astype(np.int64)
     return listener
 
 
@@ -199,20 +185,17 @@ def save_listener(listener: AttributeClassifierListener, path: str | Path) -> No
     """Serialize a listener, with its schema, to one deterministic JSON file."""
     if not isinstance(listener, AttributeClassifierListener):
         raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
+    counts, rows = listener.counts.tolist(), listener._class_rows
     payload = {
         "type": "attribute-nb",
         "k": listener.k,
         "vocab": list(listener.vocab.tokens),
-        "priors": {
-            attr: dict(sorted(row.items()))
-            for attr, row in listener.class_counts.items()
-        },
+        "priors": {attr: {cls: counts[row][-1] for cls, row in by_class.items()}
+                   for attr, by_class in rows.items()},
         "token_counts": {
-            attr: {
-                cls: {str(t): c for t, c in sorted(row.items())}
-                for cls, row in by_class.items()
-            }
-            for attr, by_class in listener.token_counts.items()
+            attr: {cls: {str(t): c for t, c in enumerate(counts[row][:-1]) if c}
+                   for cls, row in by_class.items()}
+            for attr, by_class in rows.items()
         },
         "schema": schema_to_dict(listener.schema),
     }
@@ -237,10 +220,12 @@ def load_listener(
         for attr, by_class in payload[table].items():
             if undeclared := set(by_class).difference(listener.classes[attr]):
                 raise ValueError(f"class {min(undeclared)!r} of {attr!r} is not in the schema")
-    for attr, row in payload["priors"].items():
-        check_counts(row.values())
-        listener.class_counts[attr].update(row)
+    rows, size = listener._class_rows, len(vocab)
+    for attr, by_class in payload["priors"].items():
+        check_counts(by_class.values())
+        listener.counts[[rows[attr][c] for c in by_class], size] = list(by_class.values())
     for attr, by_class in payload["token_counts"].items():
         for cls, row in by_class.items():
-            listener.token_counts[attr][cls].update(read_counts(row, len(vocab)))
+            parsed = read_counts(row, size)
+            listener.counts[rows[attr][cls], list(parsed)] = list(parsed.values())
     return listener

@@ -160,13 +160,8 @@ def _pragmatic_block(
     masked = not finite.all()
     shift = np.where(finite, m, 0.0) if masked else m
     mass = np.exp(extended - shift[:, None, :])
-    # Each token's mass is summed over the inputs in the order numpy sums
-    # one contiguous run, as it did when hypotheses were scored one at a
-    # time: left to right below 8 entries, pairwise from 8 on.
-    if mass.shape[1] < 8:
-        sums = reduce(np.add, mass.swapaxes(0, 1))
-    else:
-        sums = mass.transpose(0, 2, 1).copy().sum(axis=2)
+    # Each token's mass is summed over the inputs left to right.
+    sums = reduce(np.add, mass.swapaxes(0, 1))
     if masked:
         with np.errstate(divide="ignore", invalid="ignore"):
             denom = shift + np.log(sums)

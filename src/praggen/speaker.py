@@ -11,7 +11,8 @@ That window design is deliberately underinformative. To keep the speaker
 weakly aware of its input at every step (without which downstream pragmatic
 decoding has nothing to amplify), an optional log-linear copy bonus can add
 ``copy_bonus`` to the logit of every token that appears in the linearized
-input. The bonus defaults to zero, which recovers the plain add-k formula.
+input. Every row is the log-normalized sum of the history's add-k row and the
+bonus; at the default bonus of zero that is the add-k row normalized again.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class NGramSpeaker(SpeakerModel):
         self.eos_id = EOS_ID
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
-        self._plain_base: np.ndarray | None = None  # log_softmax of the table
 
     # ── scoring ─────────────────────────────────────
 
@@ -157,8 +157,6 @@ class NGramSpeaker(SpeakerModel):
     def step_logprobs_ctx(self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]) -> np.ndarray:
         index, table = self._window_table()
         row = table[self._history_rows(index, (ctx,), (prefix_ids,))[0][0]]
-        if self.copy_bonus == 0.0:
-            return row
         return log_softmax(row + self._bonus((ctx,))[0])
 
     def _history_rows(self, index, contexts, prefixes) -> list[list[int]]:
@@ -172,21 +170,15 @@ class NGramSpeaker(SpeakerModel):
         in ``step_logprobs_ctx``, up front or, past ``EAGER_STACK_SIZE``
         entries, on its first gather. The base rows come from an (H+1, V)
         stack of the first context's rows normalized again, built along with
-        the stack, or once per speaker without a copy bonus; with one context
-        only they are gathered. Once a prefix holds ``order - 1`` ids one
-        lookup finds its row under every context (the state-based query of
-        KenLM; Heafield 2011)."""
+        the stack; with one context only they are gathered. Once a prefix
+        holds ``order - 1`` ids one lookup finds its row under every context
+        (the state-based query of KenLM; Heafield 2011)."""
         index, table = self._window_table()
         span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
         shape = (len(table), len(contexts), table.shape[1])
         bonus = self._bonus(contexts)
         done = None
-        if self.copy_bonus == 0.0:
-            stack = np.broadcast_to(table[:, None], shape)
-            if self._plain_base is None:
-                self._plain_base = log_softmax(table)
-            base = self._plain_base
-        elif math.prod(shape) <= EAGER_STACK_SIZE:
+        if math.prod(shape) <= EAGER_STACK_SIZE:
             stack = log_softmax(table[:, None] + bonus)
             base = log_softmax(stack[:, 0])
         else:
@@ -252,7 +244,7 @@ def train_ngram_speaker(
     """
     model = NGramSpeaker(order, k, vocab, schema=schema, copy_bonus=copy_bonus)
     span = order - 1
-    heads: dict[tuple, tuple] = {}  # an MR's attributes, then values -> its window head
+    heads: dict[MeaningRepresentation, tuple] = {}  # an MR -> its window head
 
     def head(input: object) -> tuple:
         return ((_PAD,) * span + model.context_ids(input) + (BOS_ID,))[-span:]
@@ -262,8 +254,7 @@ def train_ngram_speaker(
     tail = bytes(span)
     for input, output in corpus:
         if isinstance(input, MeaningRepresentation):
-            key = (*input.assignments, *input.assignments.values())
-            stream += heads.get(key) or heads.setdefault(key, head(input))
+            stream += heads.get(input) or heads.setdefault(input, head(input))
         else:
             stream += head(input)
         stream += output.core_ids()
@@ -285,9 +276,11 @@ def train_ngram_speaker(
 
 
 def check_counts(counts: Iterable[object]) -> None:
-    """Refuse a serialized count that is not a non-negative integer."""
-    if bad := [count for count in counts if type(count) is not int or count < 0]:
-        raise ValueError(f"count {bad[0]!r} is not a non-negative integer")
+    """Refuse a serialized count that is not an integer in ``[0, 2**53)``:
+    such a count is exactly a float and fits an int64, and a row of them
+    totals far below a float's range."""
+    if bad := [c for c in counts if type(c) is not int or not 0 <= c < 2**53]:
+        raise ValueError(f"count {bad[0]!r} is not a non-negative integer below 2**53")
 
 
 def read_number(name: str, value: object) -> float:

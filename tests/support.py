@@ -210,14 +210,23 @@ def _reference_log_softmax(scores: np.ndarray) -> np.ndarray:
     return scores - (m + math.log(np.exp(scores - m).sum()))
 
 
+def _sum_left_to_right(terms) -> np.ndarray:
+    """The sum of ``terms`` along their first axis, added one at a time."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def _reference_logsumexp_rows(stacked: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over axis 0, mapping all -inf columns to -inf."""
+    """Log-sum-exp over axis 0, each column's terms added left to right,
+    mapping all -inf columns to -inf."""
     m = stacked.max(axis=0)
     out = np.full(stacked.shape[-1], -math.inf)
     finite = m > -math.inf
     if finite.any():
         shifted = stacked[:, finite] - m[finite]
-        out[finite] = m[finite] + np.log(np.exp(shifted).sum(axis=0))
+        out[finite] = m[finite] + np.log(_sum_left_to_right(np.exp(shifted)))
     return out
 
 
@@ -288,15 +297,15 @@ def reference_beam_decode(speaker, input, config, distractors=None):
 
 
 def reference_pragmatic_block(rows, beliefs, alpha, true_index=0):
-    """``_pragmatic_block`` in the form it had when each token's mass was
-    always summed as one contiguous run of a transposed copy, and every
-    block went through the ``-inf`` mask."""
+    """``_pragmatic_block`` with each token's mass added over the inputs
+    one input at a time, left to right, and every block sent through the
+    ``-inf`` mask."""
     extended = rows + beliefs[:, :, None]
     m = extended.max(axis=1)
     finite = m > -math.inf
     shift = np.where(finite, m, 0.0)
-    mass = np.exp(extended - shift[:, None, :]).transpose(0, 2, 1).copy()
-    sums = mass.sum(axis=2)
+    mass = np.exp(extended - shift[:, None, :])
+    sums = _sum_left_to_right([mass[:, j] for j in range(mass.shape[1])])
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = shift + np.log(sums)
         posterior = np.where(finite[:, None, :], extended - denom[:, None, :], -math.inf)
@@ -324,8 +333,6 @@ def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
         row = np.full(size, math.log(k) - denom)
         for tok, cnt in counts.items():
             row[tok] = math.log(cnt + k) - denom
-    if speaker.copy_bonus == 0.0:
-        return row
     feat = np.zeros(size)
     for tok in ctx:
         if tok != SEP_ID:
@@ -344,14 +351,15 @@ def reference_reconstruction_logprob(listener, mr, output) -> float:
     k = listener.k
     v = len(listener.vocab)
     bag = [t for t in output.ids if t not in (BOS_ID, EOS_ID, SEP_ID)]
+    class_counts, token_counts = listener_count_dicts(listener)
     total = 0.0
     for spec in listener.schema:
         classes = listener.classes[spec.name]
-        counts = np.array([listener.class_counts[spec.name][c] for c in classes], dtype=float)
+        counts = np.array([class_counts[spec.name][c] for c in classes], dtype=float)
         scores = np.log(counts + k) - math.log(counts.sum() + k * len(classes))
         tok = np.zeros((len(classes), v))
         for ci, c in enumerate(classes):
-            row = listener.token_counts[spec.name][c]
+            row = token_counts[spec.name][c]
             denom = math.log(sum(row.values()) + k * v)
             tok[ci, :] = math.log(k) - denom
             for t, cnt in row.items():
@@ -407,9 +415,21 @@ def reference_listener_counts(listener, pairs) -> tuple[dict, dict]:
             cls = ABSENT_CLASS if value is None else value
             class_counts[spec.name][cls] += 1
             token_counts[spec.name][cls].update(bag)
-    return class_counts, plain_token_counts(token_counts)
+    return class_counts, {name: {c: dict(row) for c, row in by_class.items()}
+                          for name, by_class in token_counts.items()}
 
 
-def plain_token_counts(token_counts: dict) -> dict:
-    return {name: {c: dict(row) for c, row in by_class.items()}
-            for name, by_class in token_counts.items()}
+def listener_count_dicts(listener) -> tuple[dict, dict]:
+    """The attribute listener's count matrix read back as ``{attribute:
+    {class: pair count}}`` and ``{attribute: {class: {token: count}}}``
+    dicts, zero token counts left out. Its rows run over the attributes in
+    schema order and each one's classes in order; each row holds the V
+    token counts, then the pair count."""
+    rows = iter(listener.counts.tolist())
+    class_counts: dict = {}
+    token_counts: dict = {}
+    for name, classes in listener.classes.items():
+        for c, row in zip(classes, rows):
+            class_counts.setdefault(name, {})[c] = row[-1]
+            token_counts.setdefault(name, {})[c] = {t: n for t, n in enumerate(row[:-1]) if n}
+    return class_counts, token_counts

@@ -742,6 +742,7 @@ def reverse_model_listener(payload):
     pytest.param("speaker", put("counts", FIRST, "7", value=-5), id="speaker-count-negative"),
     pytest.param("speaker", put("counts", FIRST, "7", value=2513.7),
                  id="speaker-count-fractional"),
+    pytest.param("speaker", put("counts", FIRST, "7", value=10**400), id="speaker-count-huge"),
     pytest.param("speaker", put("order", value=2.5), id="speaker-order-fractional"),
     pytest.param("speaker", put("order", value="3"), id="speaker-order-string"),
     pytest.param("speaker", put("order", value=2), id="speaker-order-too-small"),
@@ -751,8 +752,12 @@ def reverse_model_listener(payload):
     pytest.param("speaker", put("copy_bonus", value="1"), id="speaker-copy-bonus-string"),
     pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
                  id="listener-prior-negative"),
+    pytest.param("listener", put("priors", FIRST, "__absent__", value=10**400),
+                 id="listener-prior-huge"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=-1),
                  id="listener-token-count-negative"),
+    pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=10**400),
+                 id="listener-token-count-huge"),
     pytest.param("listener", put("priors", FIRST, "bogus", value=7),
                  id="listener-class-undeclared"),
     pytest.param("listener", put("token_counts", FIRST, "bogus", value={}),

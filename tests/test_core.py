@@ -388,6 +388,14 @@ def test_mr_without_and_contains():
     assert mr.get("food") is None
 
 
+def test_equal_mrs_hash_equal_and_share_one_key():
+    one = MeaningRepresentation({"area": "riverside", "priceRange": "cheap"})
+    other = MeaningRepresentation({"priceRange": "cheap", "area": "riverside"})
+    assert one == other and hash(one) == hash(other)
+    assert {one: 1, other: 2} == {one: 2}
+    assert len({one, other, one.without("area")}) == 2
+
+
 # ── linearization ────────────────────────────────────────────────────────────
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import product
@@ -33,9 +34,9 @@ from praggen.data import (
     generate_corpus,
 )
 from support import (
+    listener_count_dicts,
     logsumexp,
     meaning_representations,
-    plain_token_counts,
     reference_listener_counts,
     reference_reconstruction_logprob,
     token_sequences,
@@ -74,12 +75,13 @@ def hand_posterior(listener, attribute, bag):
     classes = listener.classes[attribute]
     k = listener.k
     v = len(listener.vocab)
-    n = sum(listener.class_counts[attribute].values())
+    class_counts, token_counts = listener_count_dicts(listener)
+    n = sum(class_counts[attribute].values())
     scores = []
     for cls in classes:
-        row = listener.token_counts[attribute][cls]
+        row = token_counts[attribute][cls]
         total = sum(row.values())
-        s = math.log((listener.class_counts[attribute][cls] + k) / (n + k * len(classes)))
+        s = math.log((class_counts[attribute][cls] + k) / (n + k * len(classes)))
         for tok in bag:
             s += math.log((row.get(tok, 0) + k) / (total + k * v))
         scores.append(s)
@@ -231,9 +233,7 @@ TRAINING_VOCAB = Vocabulary.build(TRAINING_SCHEMA.tokens() + ["spot"])
 def test_training_counts_equal_the_per_pair_walk(pairs):
     # Outputs hold structural ids too, which stay out of the bags.
     listener = train_attribute_listener(pairs, TRAINING_SCHEMA, k=0.5, vocab=TRAINING_VOCAB)
-    class_counts, token_counts = reference_listener_counts(listener, pairs)
-    assert listener.class_counts == class_counts
-    assert plain_token_counts(listener.token_counts) == token_counts
+    assert listener_count_dicts(listener) == reference_listener_counts(listener, pairs)
 
 
 def test_reconstruction_scores_are_nonpositive():
@@ -296,6 +296,22 @@ def test_attribute_listener_round_trip(tmp_path):
             loaded.class_log_posteriors(spec.name, output),
             listener.class_log_posteriors(spec.name, output),
         )
+    trained = path.read_bytes()
+    save_listener(loaded, path)
+    assert path.read_bytes() == trained
+    # An explicit zero token count in a hand-written file scores as an
+    # absent one, and the listener saves it absent.
+    payload = json.loads(trained)
+    payload["token_counts"]["area"]["riverside"][str(vocab.id("nice"))] = 0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    zeroed = load_listener(path)
+    for spec in schema:
+        assert np.array_equal(
+            zeroed.class_log_posteriors(spec.name, output),
+            listener.class_log_posteriors(spec.name, output),
+        )
+    save_listener(zeroed, path)
+    assert path.read_bytes() == trained
 
 
 def test_attribute_listener_serialization_is_deterministic(tmp_path):

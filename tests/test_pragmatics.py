@@ -462,12 +462,11 @@ def assert_same_beam(speaker, input, config, distractors=None, n_best=None):
 
 
 @pytest.mark.parametrize("inputs", range(2, 10))
-def test_pragmatic_block_matches_the_transposed_sum_bit_for_bit(inputs):
-    # Below 8 inputs the block adds each token's mass left to right, the
-    # order in which numpy sums a short contiguous run; a numpy that sums
-    # such a run in another order fails here instead of moving the last
-    # bits of written scores. Rows with tokens that every input rules out
-    # take the masked path, the others the unmasked one.
+def test_pragmatic_block_matches_the_left_to_right_sum_bit_for_bit(inputs):
+    # At every input count the block adds each token's mass over the inputs
+    # left to right, as the reference does one input at a time. Rows with
+    # tokens that every input rules out take the masked path, the others
+    # the unmasked one.
     rng = np.random.default_rng(inputs)
     for rows_inf, beliefs_inf, alpha in product((False, True), (False, True), (0.0, 1.0)):
         rows = rng.normal(scale=3.0, size=(6, inputs, 40))

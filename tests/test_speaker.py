@@ -349,6 +349,9 @@ def test_ngram_round_trip_preserves_scores(tmp_path):
             loaded.step_logprobs_ctx((a,), prefix),
             model.step_logprobs_ctx((a,), prefix),
         )
+    again = tmp_path / "again.json"
+    save_speaker(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_retraining_writes_identical_bytes(tmp_path):
