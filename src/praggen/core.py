@@ -216,17 +216,16 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Log-normalize a row, or each row of a block, over the last axis.
 
-    Each row's log partition sum is its maximum plus ``math.log`` of its
-    shifted mass, taken on the scalar: ``np.log`` can differ from it in the
-    last ulp, and a row must get the same bits whether it is normalized
-    alone or inside a block. The result is read-only. Raises
+    Each row's log partition sum is its maximum plus the log of its shifted
+    mass, one ``np.log`` over all rows. Every step is elementwise or a sum
+    along a row, so a row gets the same bits whether it is normalized alone
+    or inside a block. The result is read-only. Raises
     :class:`DegenerateDistributionError` when a row has no finite mass.
     """
     m = scores.max(axis=-1, keepdims=True)
     if -math.inf in m.ravel().tolist():
         raise DegenerateDistributionError("degenerate distribution: no finite mass")
-    sums = np.exp(scores - m).sum(axis=-1).ravel().tolist()
-    out = scores - (m + np.array(list(map(math.log, sums))).reshape(m.shape))
+    out = scores - (m + np.log(np.exp(scores - m).sum(axis=-1, keepdims=True)))
     out.setflags(write=False)
     return out
 

@@ -25,7 +25,6 @@ from .core import (
     TokenSequence,
     Vocabulary,
     dump_json,
-    log_softmax,
     schema_from_dict,
     schema_to_dict,
 )
@@ -92,41 +91,39 @@ class AttributeClassifierListener:
         """Log priors (classes,) and token log-likelihoods (V, classes)."""
         if self._log_tables is None:
             pairs = self.counts[:, -1].astype(float)
-            totals = [math.log(pairs[r].sum() + self.k * (r.stop - r.start))
-                      for r in self._rows.values()]
-            prior = np.log(pairs + self.k) - np.repeat(totals, self._sizes)
-            # add_k_rows reads each class's nonzero token counts.
-            rows = [{t: c for t, c in enumerate(row) if c} for row in self.counts[:, :-1].tolist()]
-            tok = np.ascontiguousarray(add_k_rows(rows, self.k, len(self.vocab)).T)
+            totals = np.add.reduceat(pairs, self._starts) + self.k * self._sizes
+            prior = np.log(pairs + self.k) - np.log(totals).repeat(self._sizes)
+            tok = np.ascontiguousarray(add_k_rows(self.counts[:, :-1], self.k).T)
             prior.setflags(write=False)
             tok.setflags(write=False)
             self._log_tables = (prior, tok)
         return self._log_tables
 
-    def _class_scores(self, output: TokenSequence) -> np.ndarray:
-        """Every class's prior plus the bag's token rows, added row by row in bag order."""
+    def _log_posteriors(self, output: TokenSequence) -> np.ndarray:
+        """Every class's log posterior given the output bag, normalized within
+        its attribute: the prior plus the bag's token rows, added row by row in
+        bag order, less the log of each attribute's shifted mass."""
         prior, tok = self._tables()
-        return np.add.reduce(np.concatenate((prior[None, :], tok[_bag_ids(output)])), 0)
+        scores = np.add.reduce(np.concatenate((prior[None, :], tok[_bag_ids(output)])), 0)
+        tops = np.maximum.reduceat(scores, self._starts)
+        mass = np.add.reduceat(np.exp(scores - tops.repeat(self._sizes)), self._starts)
+        return scores - (tops + np.log(mass)).repeat(self._sizes)
 
     def class_log_posteriors(self, attribute: str, output: TokenSequence) -> np.ndarray:
         """Log posterior over ``attribute``'s classes given the output bag."""
-        return log_softmax(self._class_scores(output)[self._rows[attribute]])
+        return self._log_posteriors(output)[self._rows[attribute]]
 
     # ── listener contract ───────────────────────────────────────────────
 
     def reconstruction_logprob(self, input: object, output: TokenSequence) -> float:
-        """Each attribute's ``log_softmax`` entry for the input's class, added
-        in schema order from 0.0; only those entries are formed, bit for bit."""
+        """The log posterior of the class that ``input`` gives each attribute,
+        added in schema order from 0.0."""
         if not isinstance(input, MeaningRepresentation):
             raise TypeError("the attribute listener scores meaning representations")
         rows = self._input_rows(input)
-        scores = self._class_scores(output)
-        tops = np.maximum.reduceat(scores, self._starts)
-        shifted = np.exp(scores - tops.repeat(self._sizes))
-        values = scores.tolist()
         total = 0.0
-        for row, top, span in zip(rows, tops.tolist(), self._rows.values()):
-            total += values[row] - (top + math.log(np.add.reduce(shifted[span])))
+        for value in self._log_posteriors(output)[rows].tolist():
+            total += value
         return total
 
 
@@ -218,6 +215,8 @@ def load_listener(
     listener = AttributeClassifierListener(loaded_schema, vocab, k=k)
     for table in ("priors", "token_counts"):
         for attr, by_class in payload[table].items():
+            if attr not in listener.classes:
+                raise ValueError(f"attribute {attr!r} is not in the listener's schema")
             if undeclared := set(by_class).difference(listener.classes[attr]):
                 raise ValueError(f"class {min(undeclared)!r} of {attr!r} is not in the schema")
     rows, size = listener._class_rows, len(vocab)

@@ -141,7 +141,10 @@ class NGramSpeaker(SpeakerModel):
         matrix of add-k rows whose last row serves every unseen history."""
         if self._table is None:
             index = {history: i for i, history in enumerate(self.counts)}
-            table = add_k_rows([*self.counts.values(), {}], self.k, self.vocab_size)
+            counts = np.zeros((len(index) + 1, self.vocab_size), dtype=np.int64)
+            for i, row in enumerate(self.counts.values()):
+                counts[i, list(row)] = list(row.values())
+            table = add_k_rows(counts, self.k)
             table.setflags(write=False)
             self._table = (index, table)
         return self._table
@@ -205,17 +208,13 @@ class NGramSpeaker(SpeakerModel):
 # ── module-level operations ─────────────────────────────────────────────────
 
 
-def add_k_rows(rows: Sequence[dict[int, int]], k: float, size: int) -> np.ndarray:
-    """The (len(rows), size) add-k log-probability rows of token-count maps:
-    ``log((count + k) / (total + k * size))``, where an empty map gives the
-    uniform row."""
-    table = np.empty((len(rows), size))
-    for i, row in enumerate(rows):
-        denom = math.log(sum(row.values()) + k * size)
-        table[i] = math.log(k) - denom
-        for tok, cnt in row.items():
-            table[i, tok] = math.log(cnt + k) - denom
-    return table
+def add_k_rows(counts: np.ndarray, k: float) -> np.ndarray:
+    """The add-k log-probability rows of a (rows, V) token-count matrix:
+    ``log((count + k) / (total + k * V))``, where a row of zeros gives the
+    uniform row. The totals are float sums, exact below 2**53, so that a row
+    of large loaded counts cannot wrap around an int64."""
+    totals = counts.sum(axis=1, dtype=float) + k * counts.shape[1]
+    return np.log(counts + k) - np.log(totals)[:, None]
 
 
 def train_ngram_speaker(
@@ -278,9 +277,11 @@ def train_ngram_speaker(
 def check_counts(counts: Iterable[object]) -> None:
     """Refuse a serialized count that is not an integer in ``[0, 2**53)``:
     such a count is exactly a float and fits an int64, and a row of them
-    totals far below a float's range."""
+    totals far below a float's range. A long refused count is named by its size."""
     if bad := [c for c in counts if type(c) is not int or not 0 <= c < 2**53]:
-        raise ValueError(f"count {bad[0]!r} is not a non-negative integer below 2**53")
+        text = repr(bad[0])
+        what = text if len(text) <= 20 else f"of {len(text)} characters"
+        raise ValueError(f"count {what} is not a non-negative integer below 2**53")
 
 
 def read_number(name: str, value: object) -> float:

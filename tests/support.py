@@ -4,9 +4,10 @@ training counters for the tests.
 Oracle scores here are accumulated with plain ``math`` calls over Python
 lists, independent of the package's numpy helpers, so an agreement test
 cannot inherit a bug from the code under test. The reference beam engine
-keeps the package's numpy arithmetic but runs it one hypothesis at a time,
-so the batched engine can be held to it bit for bit; the reference listener
-score does the same one attribute at a time.
+keeps the package's numpy arithmetic, logs taken with ``np.log``, but runs it
+one hypothesis at a time, so the batched engine can be held to it bit for
+bit; the reference n-gram row and listener score do the same one row and one
+attribute at a time.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _reference_log_softmax(scores: np.ndarray) -> np.ndarray:
     m = scores.max()
     if m == -math.inf:
         raise DegenerateDistributionError("degenerate distribution: no finite mass")
-    return scores - (m + math.log(np.exp(scores - m).sum()))
+    return scores - (m + np.log(np.exp(scores - m).sum()))
 
 
 def _sum_left_to_right(terms) -> np.ndarray:
@@ -327,12 +328,12 @@ def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
     window = (ctx + (BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
     counts = speaker.counts.get(window)
     if counts is None:
-        row = np.full(size, math.log(k) - math.log(k * size))
+        row = np.full(size, np.log(k) - np.log(k * size))
     else:
-        denom = math.log(sum(counts.values()) + k * size)
-        row = np.full(size, math.log(k) - denom)
+        denom = np.log(sum(counts.values()) + k * size)
+        row = np.full(size, np.log(k) - denom)
         for tok, cnt in counts.items():
-            row[tok] = math.log(cnt + k) - denom
+            row[tok] = np.log(cnt + k) - denom
     feat = np.zeros(size)
     for tok in ctx:
         if tok != SEP_ID:
@@ -344,9 +345,10 @@ def reference_reconstruction_logprob(listener, mr, output) -> float:
     """The attribute listener's score computed one attribute at a time.
 
     Each attribute gets its own smoothed tables, adds the output's token
-    columns to its prior one token at a time and log-normalizes. The
-    listener, which scores all attributes' classes at once, must return the
-    same bits.
+    columns to its prior one token at a time and log-normalizes; the
+    attributes' entries for the input's classes are added in schema order.
+    The listener, which scores all attributes' classes at once, must return
+    the same bits.
     """
     k = listener.k
     v = len(listener.vocab)
@@ -356,19 +358,23 @@ def reference_reconstruction_logprob(listener, mr, output) -> float:
     for spec in listener.schema:
         classes = listener.classes[spec.name]
         counts = np.array([class_counts[spec.name][c] for c in classes], dtype=float)
-        scores = np.log(counts + k) - math.log(counts.sum() + k * len(classes))
+        scores = np.log(counts + k) - np.log(counts.sum() + k * len(classes))
         tok = np.zeros((len(classes), v))
         for ci, c in enumerate(classes):
             row = token_counts[spec.name][c]
-            denom = math.log(sum(row.values()) + k * v)
-            tok[ci, :] = math.log(k) - denom
+            denom = np.log(sum(row.values()) + k * v)
+            tok[ci, :] = np.log(k) - denom
             for t, cnt in row.items():
-                tok[ci, t] = math.log(cnt + k) - denom
+                tok[ci, t] = np.log(cnt + k) - denom
         for t in bag:
             scores += tok[:, t]
         value = mr.get(spec.name)
         idx = classes.index(value if value is not None else ABSENT_CLASS)
-        total += float(_reference_log_softmax(scores)[idx])
+        top = scores.max()
+        shifted = np.exp(scores - top)
+        # The listener adds an attribute's mass as ``np.add.reduceat`` adds a
+        # segment: its first class plus the sum of the others.
+        total += float(scores[idx] - (top + np.log(shifted[0] + shifted[1:].sum())))
     return total
 
 

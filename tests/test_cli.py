@@ -725,6 +725,17 @@ def reverse_model_listener(payload):
     return {"type": "reverse", "schema": payload["schema"], "model": model}
 
 
+# What the error line of a case must say; a count is named by its size, so
+# a huge one's line stays short.
+ERROR_SAYS = {
+    "speaker-count-huge": "count of 401 characters is not",
+    "listener-prior-huge": "count of 401 characters is not",
+    "listener-token-count-huge": "count of 401 characters is not",
+    "listener-attribute-undeclared": "'bogusattr' is not in the listener's schema",
+    "listener-token-attribute-undeclared": "'bogusattr' is not in the listener's schema",
+}
+
+
 @pytest.mark.parametrize("kind, edit", [
     pytest.param("schema", put("attributes", value=5), id="schema-attributes-int"),
     pytest.param("schema", put("attributes", value=[5]), id="schema-attribute-int"),
@@ -762,6 +773,10 @@ def reverse_model_listener(payload):
                  id="listener-class-undeclared"),
     pytest.param("listener", put("token_counts", FIRST, "bogus", value={}),
                  id="listener-token-class-undeclared"),
+    pytest.param("listener", put("priors", "bogusattr", value={"x": 1}),
+                 id="listener-attribute-undeclared"),
+    pytest.param("listener", put("token_counts", "bogusattr", value={}),
+                 id="listener-token-attribute-undeclared"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "-2", value=1),
                  id="listener-token-negative"),
     pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
@@ -776,7 +791,7 @@ def reverse_model_listener(payload):
     pytest.param("predictions", put("output", value=None), id="prediction-output-null"),
     pytest.param("predictions", put("output", value=5), id="prediction-output-int"),
 ])
-def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
+def test_malformed_files_are_data_errors(ws, tmp_path, capsys, request, kind, edit):
     sources = {"schema": ws["schema"], "speaker": ws["speaker"],
                "listener": ws["listener"], "data": ws["dev"],
                "predictions": tmp_path / "echo.jsonl"}
@@ -802,4 +817,6 @@ def test_malformed_files_are_data_errors(ws, tmp_path, capsys, kind, edit):
     assert run(*command, "--schema", files["schema"], "--out", out) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert ERROR_SAYS.get(request.node.callspec.id, "") in err[0]
+    assert len(err[0]) < len(f"error: {bad}: ") + 160
     assert not out.exists()

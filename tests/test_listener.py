@@ -195,10 +195,11 @@ def test_bag_ignores_structural_tokens():
     )
 
 
-def test_scores_match_the_per_attribute_reference_bit_for_bit():
-    # A synth corpus with its own listener: every record's MR against its
-    # own and two other references, then random bags of every length,
-    # structural ids included, against random MRs of the corpus.
+def synth_listener_cases():
+    """A listener trained on a synth corpus, and (MR, output) cases for it:
+    every record's MR against its own and two other references, then random
+    bags of every length, structural ids included, against random MRs of
+    the corpus."""
     schema = RESTAURANT_SCHEMA
     records = [delexicalize(r, schema) for r in generate_corpus(300, 17, 0.1)]
     vocab = build_corpus_vocabulary([normalize_words(r.reference) for r in records], schema)
@@ -210,10 +211,27 @@ def test_scores_match_the_per_attribute_reference_bit_for_bit():
     for length in range(41):
         ids = [rng.choice(others) for _ in range(length)] + [EOS_ID] * (length % 2)
         cases.append((rng.choice(pairs)[0], TokenSequence(ids)))
+    return listener, cases
+
+
+def test_scores_match_the_per_attribute_reference_bit_for_bit():
+    listener, cases = synth_listener_cases()
     for mr, output in cases:
         got = listener.reconstruction_logprob(mr, output)
         want = reference_reconstruction_logprob(listener, mr, output)
         assert got.hex() == want.hex()
+
+
+def test_score_is_the_schema_order_sum_of_class_posteriors_bit_for_bit():
+    listener, cases = synth_listener_cases()
+    for mr, output in cases:
+        total = 0.0
+        for spec in listener.schema:
+            classes = listener.classes[spec.name]
+            value = mr.get(spec.name)
+            at = classes.index(ABSENT_CLASS if value is None else value)
+            total += float(listener.class_log_posteriors(spec.name, output)[at])
+        assert listener.reconstruction_logprob(mr, output).hex() == total.hex()
 
 
 TRAINING_SCHEMA = AttributeSchema(
