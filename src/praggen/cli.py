@@ -119,7 +119,8 @@ def _load(what: str, path: str, load: Callable, *args):
     try:
         return load(path, *args)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path}: invalid {what} ({exc})") from None
+        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise DataError(f"{path}: invalid {what} ({reason})") from None
 
 
 def _read_records(path: str, schema: AttributeSchema | None = None) -> list[CorpusRecord]:

@@ -31,8 +31,6 @@ BOS_ID = 0
 EOS_ID = 1
 SEP_ID = 2
 UNK_ID = 3
-NAME_PLH_ID = 4
-NEAR_PLH_ID = 5
 
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"

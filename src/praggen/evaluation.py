@@ -240,15 +240,3 @@ def write_ablation_csv(matrix: Mapping[str, Mapping[str, float]], path: str | Pa
         writer.writerow(["condition", *cols])
         for row in rows:
             writer.writerow([row, *(f"{matrix[row][c]:.4f}" for c in cols)])
-
-
-__all__ = [
-    "CoverageMatcher",
-    "ablation_matrix",
-    "bleu",
-    "coverage_ratio",
-    "coverage_report",
-    "measured_attributes",
-    "rouge_l",
-    "write_ablation_csv",
-]

@@ -204,6 +204,8 @@ def load_listener(
 ) -> AttributeClassifierListener:
     """Load a serialized listener; its schema must equal ``schema`` if given."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("the top level is not a JSON object")
     kind = payload.get("type")
     if kind != "attribute-nb":
         raise ValueError(f"unknown listener serialization type {kind!r}")

@@ -179,12 +179,12 @@ def _pragmatic_block(
 def _support_rows(
     speaker: SpeakerModel, belief: BeliefState, prefix: TokenSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-hypothesis (1, L, V) step block, from the speaker's row source,
-    and (1, L) beliefs; a support has two or more inputs, so rows are given."""
+    """One-hypothesis (1, L, V) step block, one ``step_logprobs_ctx`` row per
+    input of the support, and (1, L) beliefs."""
     if prefix.terminated:
         raise ValueError("prefix is terminated; no further tokens can be scored")
-    rows = speaker.row_source([speaker.context_ids(s) for s in belief.support])
-    return rows([prefix.ids])[0], np.array([belief.log_beliefs])
+    rows = [speaker.step_logprobs_ctx(speaker.context_ids(s), prefix.ids) for s in belief.support]
+    return np.stack(rows)[None], np.array([belief.log_beliefs])
 
 
 # ── belief machinery ────────────────────────────────────────────────────────

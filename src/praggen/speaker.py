@@ -324,6 +324,8 @@ def save_speaker(model: SpeakerModel, path: str | Path) -> None:
 def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
     """Load a serialized speaker."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("the top level is not a JSON object")
     kind = payload.get("type")
     if kind != "ngram":
         raise ValueError(f"unknown speaker serialization type {kind!r}")

@@ -94,6 +94,14 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(command)[1:])
 
 
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_unknown_mode_is_rejected_by_the_parser(ws, tmp_path):
     rc = run(
         "generate", "--data", ws["dev"], "--speaker", ws["speaker"],
@@ -718,6 +726,14 @@ def put(*path, value):
     return edit
 
 
+def drop(key):
+    """An edit of a JSON payload that deletes its top-level ``key``."""
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
 def reverse_model_listener(payload):
     """A well-formed file of the reverse-model listener kind, which embedded an
     n-gram speaker; praggen reads naive Bayes listener files only."""
@@ -733,6 +749,10 @@ ERROR_SAYS = {
     "listener-token-count-huge": "count of 401 characters is not",
     "listener-attribute-undeclared": "'bogusattr' is not in the listener's schema",
     "listener-token-attribute-undeclared": "'bogusattr' is not in the listener's schema",
+    "speaker-list": "invalid speaker (the top level is not a JSON object)",
+    "speaker-k-missing": "invalid speaker (missing key 'k')",
+    "listener-schema-missing": "invalid listener (missing key 'schema')",
+    "listener-list": "invalid listener (the top level is not a JSON object)",
 }
 
 
@@ -760,6 +780,7 @@ ERROR_SAYS = {
     pytest.param("speaker", put("order", value=4), id="speaker-order-too-big"),
     pytest.param("speaker", put("order", value=5), id="speaker-order-much-too-big"),
     pytest.param("speaker", put("k", value=True), id="speaker-k-bool"),
+    pytest.param("speaker", drop("k"), id="speaker-k-missing"),
     pytest.param("speaker", put("copy_bonus", value="1"), id="speaker-copy-bonus-string"),
     pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
                  id="listener-prior-negative"),
@@ -782,6 +803,8 @@ ERROR_SAYS = {
     pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
                  id="listener-token-too-big"),
     pytest.param("listener", put("k", value="0.5"), id="listener-k-string"),
+    pytest.param("listener", drop("schema"), id="listener-schema-missing"),
+    pytest.param("listener", lambda p: [p], id="listener-list"),
     pytest.param("listener", reverse_model_listener, id="listener-type-reverse"),
     pytest.param("data", put("mr", value=5), id="record-mr-int"),
     pytest.param("data", put("delex", value=5), id="record-delex-int"),

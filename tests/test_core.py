@@ -1,6 +1,8 @@
 import ast
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -462,18 +464,43 @@ def test_linearize_unknown_token_is_unbuildable():
 # ── package surface ──────────────────────────────────────────────────────────
 
 
-def test_every_exported_name_resolves_and_the_list_is_sorted():
-    assert [name for name in praggen.__all__ if not hasattr(praggen, name)] == []
-    assert praggen.__all__ == sorted(praggen.__all__)
+# The praggen modules each module imports, directly or not, besides itself;
+# a module missing here fails its own case.
+LAYERS = {
+    "core": set(),
+    "speaker": {"core"},
+    "data": {"core"},
+    "distractor": {"core"},
+    "listener": {"core", "speaker"},
+    "pragmatics": {"core", "speaker"},
+    "evaluation": {"core", "data", "distractor", "pragmatics", "speaker"},
+    "cli": {"core", "data", "distractor", "evaluation", "listener", "pragmatics", "speaker"},
+}
+
+MODULES = sorted(
+    p.stem for p in Path(praggen.__file__).parent.glob("*.py") if p.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_module_loads_only_its_own_layers(module):
+    code = (
+        "import importlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "importlib.import_module('praggen.' + sys.argv[2])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'praggen')))"
+    )
+    src = str(Path(praggen.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, module],
+                          capture_output=True, text=True, check=True)
+    want = {"praggen", *(f"praggen.{name}" for name in LAYERS[module] | {module})}
+    assert set(done.stdout.split()) == want
 
 
 def test_no_module_imports_an_unused_name():
-    """Every name a module imports is read somewhere in that module; the
-    package ``__init__`` only re-exports, so it is left out."""
+    """Every name a module imports is read somewhere in that module."""
     unused = []
     for path in sorted(Path(praggen.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {
             alias.asname or alias.name.split(".")[0]

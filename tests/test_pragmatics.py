@@ -672,6 +672,19 @@ def test_a_settled_top_stops_the_decode_early(synth_models):
         assert len(settled) < len(full)
 
 
+def test_oracle_helpers_ask_one_row_per_input(synth_models):
+    # A helper reads one step, so it builds no row source for a whole decode.
+    speakers, mrs = synth_models
+    speaker = speakers[3]
+    mr = mrs[0]
+    belief = BeliefState.uniform([mr, mr.without("eatType"), mr.without("food")])
+    token = speaker.context_ids(mr)[0]
+    prefix = TokenSequence((token,))
+    for helper in (partial(belief_update, belief, speaker, prefix, token),
+                   partial(distractor_step_scores, speaker, belief, 0, prefix, 1.0)):
+        assert speaker_requests(speaker, helper)[1] == {"step_logprobs_ctx": 3}
+
+
 def test_returned_hypotheses_are_finished_exactly_when_they_end_in_eos():
     # The exhaustive micro beam runs to max_len, so it returns
     # length-capped hypotheses beside finished ones.
