@@ -158,6 +158,8 @@ class Vocabulary:
             raise ValueError("vocabulary must start with the reserved token block")
         ids: dict[str, int] = {}
         for idx, tok in enumerate(tokens):
+            if not isinstance(tok, str):
+                raise ValueError(f"token id {idx} is not a string")
             if not tok:
                 raise ValueError("token strings must be non-empty")
             if tok in ids:
@@ -475,25 +477,14 @@ def linearize_mr(
     final SEP.
 
     Clauses follow schema order, so the mapping is injective over valid MRs.
-    The empty MR linearizes to ``[<sep>]``. ``mr`` is checked in the same
-    pass over the schema, and refused with ``validate_mr``'s message.
+    The empty MR linearizes to ``[<sep>]``. ``validate_mr`` runs first, so an
+    MR that is both invalid and unbuildable is refused as invalid.
     """
+    validate_mr(mr, schema)
     ids: list[int] = []
-    clauses = 0
     get = mr.assignments.get
     for spec in schema:
-        value = get(spec.name)
-        if value is None:
-            continue
-        if not (value if spec.kind == KIND_DELEXICALIZED else value in spec.values):
-            break
-        clauses += 1
-        try:
+        if (value := get(spec.name)) is not None:
             ids.extend(_clause_ids(vocab, spec.name, value))
-        except UnbuildableContextError:
-            validate_mr(mr, schema)  # an invalid MR is refused as invalid first
-            raise
-    if clauses != len(mr.assignments):
-        validate_mr(mr, schema)  # an assignment is bad, so this raises
     ids.append(SEP_ID)
     return tuple(ids)

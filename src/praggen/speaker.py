@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections import Counter
 from itertools import chain, compress
@@ -133,7 +134,10 @@ class NGramSpeaker(SpeakerModel):
                 raise ValueError("a schema is required to linearize MR inputs")
             return linearize_mr(input, self.schema, self.vocab)
         if isinstance(input, (tuple, list)):
-            return tuple(int(i) for i in input)
+            ids = tuple(map(operator.index, input))  # refuses a non-integer
+            if outside := [i for i in ids if not 0 <= i < self.vocab_size]:
+                raise ValueError(f"context token id {outside[0]} is outside the vocabulary")
+            return ids
         raise TypeError(f"unsupported speaker input type {type(input).__name__}")
 
     def _window_table(self) -> tuple[dict[tuple[int, ...], int], np.ndarray]:

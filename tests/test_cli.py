@@ -753,6 +753,7 @@ ERROR_SAYS = {
     "speaker-k-missing": "invalid speaker (missing key 'k')",
     "listener-schema-missing": "invalid listener (missing key 'schema')",
     "listener-list": "invalid listener (the top level is not a JSON object)",
+    "speaker-vocab-number": "invalid speaker (token id 6 is not a string)",
 }
 
 
@@ -782,6 +783,7 @@ ERROR_SAYS = {
     pytest.param("speaker", put("k", value=True), id="speaker-k-bool"),
     pytest.param("speaker", drop("k"), id="speaker-k-missing"),
     pytest.param("speaker", put("copy_bonus", value="1"), id="speaker-copy-bonus-string"),
+    pytest.param("speaker", put("vocab", 6, value=7), id="speaker-vocab-number"),
     pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
                  id="listener-prior-negative"),
     pytest.param("listener", put("priors", FIRST, "__absent__", value=10**400),

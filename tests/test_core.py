@@ -461,6 +461,47 @@ def test_linearize_unknown_token_is_unbuildable():
         linearize_mr(MeaningRepresentation({"name": "rose cottage"}), schema, vocab)
 
 
+def test_linearize_refuses_an_invalid_unbuildable_mr_as_invalid():
+    schema = small_schema()
+    vocab = Vocabulary.build(schema.tokens())
+    mr = MeaningRepresentation({"name": "rose cottage", "area": "desert"})
+    with pytest.raises(ValueError) as refused:
+        linearize_mr(mr, schema, vocab)
+    assert not isinstance(refused.value, UnbuildableContextError)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        validate_mr(mr, schema)
+
+
+RESTAURANT_VOCAB = Vocabulary.build(RESTAURANT_SCHEMA.tokens())
+
+
+@st.composite
+def restaurant_mrs(draw):
+    """An MR over ``RESTAURANT_SCHEMA`` plus an unknown attribute, in any
+    order; a value may lie outside its set, and any value may be empty.
+    Valid values are in ``RESTAURANT_VOCAB``, so a valid MR is buildable."""
+    values = {
+        spec.name: spec.values + (("", "riverside") if spec.kind == KIND_DELEXICALIZED
+                                  else ("", "desert"))
+        for spec in RESTAURANT_SCHEMA
+    }
+    values["cuisine"] = ("pub", "")
+    names = draw(st.lists(st.sampled_from(list(values)), unique=True))
+    return MeaningRepresentation({name: draw(st.sampled_from(values[name])) for name in names})
+
+
+@given(restaurant_mrs())
+def test_linearize_refuses_exactly_what_validate_mr_refuses(mr):
+    try:
+        validate_mr(mr, RESTAURANT_SCHEMA)
+    except ValueError as invalid:
+        with pytest.raises(ValueError) as refused:
+            linearize_mr(mr, RESTAURANT_SCHEMA, RESTAURANT_VOCAB)
+        assert type(refused.value) is ValueError and str(refused.value) == str(invalid)
+    else:
+        assert linearize_mr(mr, RESTAURANT_SCHEMA, RESTAURANT_VOCAB)[-1] == SEP_ID
+
+
 # ── package surface ──────────────────────────────────────────────────────────
 
 

@@ -169,9 +169,13 @@ def test_context_ids_accepts_mr_sequence_and_tuple():
     assert model.context_ids(mr) == linearize_mr(mr, schema, vocab)
     assert model.context_ids((3, 4)) == (3, 4)
     assert model.context_ids([3, 4]) == (3, 4)
-    for unsupported in ("raw text", TokenSequence([7, EOS_ID])):
+    assert model.context_ids((np.int64(3), 4)) == (3, 4)
+    for unsupported in ("raw text", TokenSequence([7, EOS_ID]), (1.7,)):
         with pytest.raises(TypeError):
             model.context_ids(unsupported)
+    for outside in (-1, len(vocab) + 5):
+        with pytest.raises(ValueError, match=f"id {outside} is outside the vocabulary"):
+            model.context_ids((3, outside))
 
 
 def test_mr_context_requires_schema():
