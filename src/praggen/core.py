@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -96,14 +97,15 @@ class TokenSequence:
 
     The terminator id may appear at most once and only in final position;
     ``terminated`` records whether it does. Construction validates that
-    constraint, everything else (id range checks) is the caller's business
-    because micro-scale tests run against tiny synthetic vocabularies.
+    constraint and refuses an id that is not an integer (``TypeError``);
+    everything else (id range checks) is the caller's business because
+    micro-scale tests run against tiny synthetic vocabularies.
     """
 
     __slots__ = ("ids", "terminated")
 
     def __init__(self, ids: Iterable[int], eos_id: int = EOS_ID) -> None:
-        id_tuple = tuple(map(int, ids))
+        id_tuple = tuple(map(operator.index, ids))  # refuses a non-integer
         terminated = bool(id_tuple) and id_tuple[-1] == eos_id
         if id_tuple and min(id_tuple) < 0:
             raise ValueError("token ids must be non-negative")

@@ -2,17 +2,14 @@
 
 A speaker assigns a log-probability vector over the whole vocabulary to the
 next output token, conditioned on an input (a meaning representation or a
-tuple of context ids) and the generated prefix. The n-gram speaker scores
-through a single sliding window over ``[linearized input ; BOS ; prefix]``,
-so the input acts as pre-context for the first steps and the model falls
-back to a plain language model once the window has moved past it.
-
-That window design is deliberately underinformative. To keep the speaker
-weakly aware of its input at every step (without which downstream pragmatic
-decoding has nothing to amplify), an optional log-linear copy bonus can add
-``copy_bonus`` to the logit of every token that appears in the linearized
-input. Every row is the log-normalized sum of the history's add-k row and the
-bonus; at the default bonus of zero that is the add-k row normalized again.
+tuple of context ids) and the generated prefix. The n-gram speaker is an
+add-k n-gram over ``[BOS ; output ; EOS]``: a prefix's history is its last
+``order - 1`` ids after BOS, and no window holds the input. The input enters
+only through a log-linear copy bonus, which adds ``copy_bonus`` to the logit
+of every token of the linearized input, SEP excepted; without it, downstream
+pragmatic decoding would have nothing to amplify. Every row is the
+log-normalized sum of the history's add-k row and the bonus; at a bonus of
+zero that is the add-k row normalized again.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from collections import Counter
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -47,7 +44,7 @@ RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray | None, np.nd
 # at 10-20 ns an entry; a larger one, row by row at 15-30 us a call.
 EAGER_STACK_SIZE = 1 << 16
 
-# Fills a training window that reaches back past the start of its context.
+# Fills a training window that reaches back past BOS.
 _PAD = None
 
 
@@ -73,7 +70,7 @@ class SpeakerModel(ABC):
 
     @abstractmethod
     def context_ids(self, input: object) -> tuple[int, ...]:
-        """Resolve ``input`` into the id sequence used as pre-context."""
+        """Resolve ``input`` into the context ids the speaker conditions on."""
 
     @abstractmethod
     def step_logprobs_ctx(
@@ -96,10 +93,12 @@ class SpeakerModel(ABC):
 
 
 class NGramSpeaker(SpeakerModel):
-    """Add-k smoothed n-gram model scored through an input-prefixed window.
+    """Add-k smoothed n-gram model over outputs plus the input's copy bonus.
 
-    ``counts`` maps a history tuple (up to ``order - 1`` ids) to the counts
-    of tokens observed after it.
+    ``counts`` maps a history tuple to the counts of tokens observed after
+    it: the last ``order - 1`` ids of ``[BOS ; prefix]``, so a shorter
+    history starts at BOS. Every context shares a prefix's history; only
+    the copy bonus reads the context.
     """
 
     def __init__(
@@ -163,13 +162,8 @@ class NGramSpeaker(SpeakerModel):
 
     def step_logprobs_ctx(self, ctx: tuple[int, ...], prefix_ids: tuple[int, ...]) -> np.ndarray:
         index, table = self._window_table()
-        row = table[self._history_rows(index, (ctx,), (prefix_ids,))[0][0]]
+        row = table[index.get(_history(prefix_ids, self.order - 1), len(index))]
         return log_softmax(row + self._bonus((ctx,))[0])
-
-    def _history_rows(self, index, contexts, prefixes) -> list[list[int]]:
-        """The table row of each prefix's window under each context."""
-        span, unseen = self.order - 1, len(index)
-        return [[index.get((c + (BOS_ID,) + p)[-span:], unseen) for c in contexts] for p in prefixes]
 
     def row_source(self, contexts: Sequence[tuple[int, ...]]) -> RowSource:
         """Gather each step's rows from one (H+1, L, V) stack per decode: each
@@ -177,11 +171,11 @@ class NGramSpeaker(SpeakerModel):
         in ``step_logprobs_ctx``, up front or, past ``EAGER_STACK_SIZE``
         entries, on its first gather. The base rows come from an (H+1, V)
         stack of the first context's rows normalized again, built along with
-        the stack; with one context only they are gathered. Once a prefix
-        holds ``order - 1`` ids one lookup finds its row under every context
-        (the state-based query of KenLM; Heafield 2011)."""
+        the stack; with one context only they are gathered. The contexts
+        differ only in their copy bonus, so one history lookup per prefix
+        finds its row under every context."""
         index, table = self._window_table()
-        span, unseen, columns = self.order - 1, len(index), np.arange(len(contexts))
+        span, unseen = self.order - 1, len(index)
         shape = (len(table), len(contexts), table.shape[1])
         bonus = self._bonus(contexts)
         done = None
@@ -192,21 +186,22 @@ class NGramSpeaker(SpeakerModel):
             stack, base, done = np.empty(shape), np.empty(table.shape), set()
 
         def rows(prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray | None, np.ndarray]:
-            if min(map(len, prefixes)) >= span:
-                visited = [index.get(p[-span:], unseen) for p in prefixes]
-                at = first = np.array(visited)
-            else:
-                visited = self._history_rows(index, contexts, prefixes)
-                first = np.array([v[0] for v in visited])
-                at, visited = (visited, columns), chain.from_iterable(visited)
+            visited = [index.get(_history(p, span), unseen) for p in prefixes]
             if done is not None and (fresh := list(set(visited) - done)):
                 stack[fresh] = log_softmax(table[fresh][:, None] + bonus)
                 base[fresh] = log_softmax(stack[fresh, 0])
                 done.update(fresh)
             # An index array gathers at a fraction of a list's cost.
-            return (stack[at] if len(contexts) > 1 else None), base.take(first, 0)
+            at = np.array(visited)
+            return (stack[at] if len(contexts) > 1 else None), base.take(at, 0)
 
         return rows
+
+
+def _history(prefix: tuple[int, ...], span: int) -> tuple[int, ...]:
+    """The n-gram history of ``prefix``: the last ``span`` ids of
+    ``[BOS ; prefix]``, built without copying the whole prefix."""
+    return prefix[-span:] if len(prefix) >= span else (BOS_ID, *prefix)
 
 
 # ── module-level operations ─────────────────────────────────────────────────
@@ -232,34 +227,28 @@ def train_ngram_speaker(
 ) -> NGramSpeaker:
     """Count-train an :class:`NGramSpeaker` on (input, output) pairs.
 
-    Each pair contributes the windows over ``[ctx ; BOS ; output ; EOS]``
-    whose next token is an output position (first output token through
-    EOS). Their histories reach back across BOS into the context tail,
-    exactly the windows scoring later queries, and are cut short at the
-    start of the context. Counting transitions inside the context itself
-    would bleed input linearization statistics into the output
-    distribution wherever the two streams share tokens.
+    Each pair contributes the windows over ``[BOS ; output ; EOS]`` whose
+    next token is an output position (first output token through EOS), cut
+    short at BOS: exactly the histories scoring later queries. No window
+    holds the input, which the speaker reads only through its copy bonus;
+    each input is still resolved, so one it cannot resolve is refused, as
+    is an output that holds BOS, whose histories no speaker file may hold.
 
-    All windows are counted in one pass: each pair adds its context's last
-    ``order - 1`` ids (padded at the front) and its output to one stream,
-    and the windows that end in an output position are counted together.
-    An MR's context is resolved once however often it recurs.
+    All windows are counted in one pass: each pair adds BOS, padded at the
+    front to ``order - 1`` ids, and its output to one stream, and the
+    windows that end in an output position are counted together.
     """
     model = NGramSpeaker(order, k, vocab, schema=schema, copy_bonus=copy_bonus)
     span = order - 1
-    heads: dict[MeaningRepresentation, tuple] = {}  # an MR -> its window head
-
-    def head(input: object) -> tuple:
-        return ((_PAD,) * span + model.context_ids(input) + (BOS_ID,))[-span:]
-
+    head = (_PAD,) * (span - 1) + (BOS_ID,)
     stream: list = []
     ends = bytearray()  # 1 where a window starting there ends in an output position
     tail = bytes(span)
     for input, output in corpus:
-        if isinstance(input, MeaningRepresentation):
-            stream += heads.get(input) or heads.setdefault(input, head(input))
-        else:
-            stream += head(input)
+        model.context_ids(input)  # refuses an input it cannot resolve
+        if BOS_ID in output.ids:
+            raise ValueError("a training output holds BOS")
+        stream += head
         stream += output.core_ids()
         stream.append(EOS_ID)
         ends += b"\1" * (len(stream) - len(ends) - span) + tail
@@ -346,9 +335,12 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGr
     for key, row in payload["counts"].items():
         history = tuple(int(i) for i in key.split(","))
         read_counts(dict.fromkeys(history, 0), model.vocab_size)  # checks the ids
-        # A trained window is short only where it reaches back across BOS
-        # to the start of the context.
-        if len(history) >= order or (len(history) < order - 1 and BOS_ID not in history):
+        # A history is the last ``order - 1`` ids of [BOS ; prefix]: a shorter
+        # one starts at BOS, and none holds BOS after its start. Files of
+        # earlier versions hold histories that reach back into the input.
+        if BOS_ID in history[1:]:
+            raise ValueError(f"history {key!r} reaches back before BOS; retrain the speaker")
+        if len(history) >= order or (len(history) < order - 1 and history[0] != BOS_ID):
             raise ValueError(f"history {key!r} does not fit order {order}")
         model.counts[history] = read_counts(row, model.vocab_size)
     return model

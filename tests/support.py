@@ -319,13 +319,14 @@ def reference_pragmatic_block(rows, beliefs, alpha, true_index=0):
 def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
     """The n-gram speaker's step row computed on its own.
 
-    The add-k row of the window's history (uniform for an unseen history),
-    plus the copy bonus of the context's tokens, log-normalized. The
+    The add-k row of the prefix's history, the last ``order - 1`` ids of
+    ``[BOS ; prefix]`` (uniform for an unseen history), plus the copy bonus
+    of the context's tokens, log-normalized. The
     speaker, which gathers its rows from one matrix and normalizes a whole
     block at once, must return the same bits.
     """
     k, size = speaker.k, speaker.vocab_size
-    window = (ctx + (BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
+    window = ((BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
     counts = speaker.counts.get(window)
     if counts is None:
         row = np.full(size, np.log(k) - np.log(k * size))
@@ -394,15 +395,14 @@ def token_sequences(size: int, max_len: int = 5):
 
 def reference_ngram_counts(speaker, pairs) -> dict:
     """The n-gram speaker's training counts, walked one output position at
-    a time: each position from the first output token through EOS counts
-    its next token after the window reaching back across BOS into the
-    context, cut short at the start of the context."""
+    a time over ``[BOS ; output ; EOS]``: each position from the first
+    output token through EOS counts its next token after the window
+    reaching back to BOS at most. The inputs play no part."""
     span = speaker.order - 1
     counts: dict = {}
-    for input, output in pairs:
-        ctx = speaker.context_ids(input)
-        seq = (*ctx, BOS_ID, *output.core_ids(), EOS_ID)
-        for t in range(len(ctx) + 1, len(seq)):
+    for _, output in pairs:
+        seq = (BOS_ID, *output.core_ids(), EOS_ID)
+        for t in range(1, len(seq)):
             row = counts.setdefault(seq[max(0, t - span) : t], {})
             row[seq[t]] = row.get(seq[t], 0) + 1
     return counts

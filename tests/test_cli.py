@@ -239,23 +239,23 @@ def test_train_is_deterministic(ws, tmp_path):
 
 
 @pytest.mark.parametrize("flags, speaker_sha, listener_sha", [
-    ([], "ad737e4818488d49fc5d52b8649a99e5448a4f40f2a5e9f4bc8241cc3a0d556e",
+    ([], "0f1a9d0fec241f6de4ef4456d383ebb3f077aecf24ba54bfb54b1e111106e2a1",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
-    (["--order", 5], "8c5716672a7b59c11750b42c67a14e3c1998bbd9fa6728bdadf0d342821930f8",
+    (["--order", 5], "94aecda0035e53200a68ad3a6bc529fb7de46b05d9f7c0a6fcb022943c0e0551",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
     (["--order", 2], "b80fdaf043e71956038655039a09a834f17e2f7fea6670be57ad69182ac77435",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
-    (["--order", 12], "7bfff010288a19285cfeea77388497b7e726cad60d11f0e558123e21871795b1",
+    (["--order", 12], "d525ab5b90621fb8674ab61d8de0a8eafc958483e355192d91b3fd793e41316a",
      "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
     (["--k", 0.5, "--copy-bonus", 0, "--listener-k", 2],
-     "f05990e6d1f7391cb2a8a2bae39084cb31ad141a27b884d6c5a75e944902a8c7",
+     "6afe5844cbea090cf5387fba2aa79d6a3aea1ebc3acbcff86bcaad4f107ce6a0",
      "11f1952f15a95ed04b6b7b2a282e36b198e49e8de1cc041fc11877e0d79e5567"),
 ], ids=["defaults", "order5", "order2", "order12", "smoothing"])
 def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, listener_sha):
     # The digests pin the model files to the bytes training wrote when they
     # were recorded, so a faster training path must count exactly the same.
-    # At order 12 each record's first windows reach back past the start of
-    # its context and are cut short there.
+    # At order 12 each record's first windows reach back past BOS and are
+    # cut short there.
     data = tmp_path / "data"
     assert run("synth", "--out", data, "--seed", 3, "--train-size", 300,
                "--dev-size", 10, "--test-size", 10) == 0
@@ -754,6 +754,8 @@ ERROR_SAYS = {
     "listener-schema-missing": "invalid listener (missing key 'schema')",
     "listener-list": "invalid listener (the top level is not a JSON object)",
     "speaker-vocab-number": "invalid speaker (token id 6 is not a string)",
+    "speaker-history-before-bos": "history '2,0' reaches back before BOS; retrain the speaker",
+    "speaker-history-short": "history '7' does not fit order 3",
 }
 
 
@@ -771,6 +773,8 @@ ERROR_SAYS = {
     pytest.param("speaker", put("counts", FIRST, "-1", value=1), id="speaker-token-negative"),
     pytest.param("speaker", put("counts", FIRST, "99999", value=1), id="speaker-token-too-big"),
     pytest.param("speaker", put("counts", "-1,6", value={"7": 1}), id="speaker-history-negative"),
+    pytest.param("speaker", put("counts", "2,0", value={"7": 1}), id="speaker-history-before-bos"),
+    pytest.param("speaker", put("counts", "7", value={"8": 1}), id="speaker-history-short"),
     pytest.param("speaker", put("counts", FIRST, "7", value=-5), id="speaker-count-negative"),
     pytest.param("speaker", put("counts", FIRST, "7", value=2513.7),
                  id="speaker-count-fractional"),

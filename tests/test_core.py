@@ -148,6 +148,14 @@ def test_token_sequence_rejects_negative_ids():
         TokenSequence([3, -1])
 
 
+def test_token_sequence_refuses_non_integer_ids():
+    ids = TokenSequence([np.int64(7), 8]).ids
+    assert ids == (7, 8) and all(type(i) is int for i in ids)
+    for bad in ([7.9, "8"], ["8"], [7, 8.0]):
+        with pytest.raises(TypeError):
+            TokenSequence(bad)
+
+
 def test_token_sequence_is_immutable():
     seq = TokenSequence([7])
     with pytest.raises(AttributeError):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from praggen.core import (
     BOS_ID,
     EOS_ID,
+    NAME_PLACEHOLDER,
+    RESERVED_TOKENS,
     SEP_ID,
     UNK_ID,
     MeaningRepresentation,
@@ -109,21 +111,13 @@ def test_training_skips_transitions_inside_the_context():
     model = train_ngram_speaker(
         [((x, y, SEP_ID), TokenSequence([z]))], 3, 0.1, vocab=vocab
     )
-    assert set(model.counts) == {(SEP_ID, BOS_ID), (BOS_ID, z)}
+    assert set(model.counts) == {(BOS_ID,), (BOS_ID, z)}
     assert (x, y) not in model.counts
 
 
-def test_context_reaches_across_bos_into_the_input_tail():
-    vocab = Vocabulary.build(["a", "b", "x", "y", "z"])
-    x, z = vocab.id("x"), vocab.id("z")
-    model = train_ngram_speaker([((x,), TokenSequence([z]))], 3, 0.1, vocab=vocab)
-    # scoring the first output token uses the window (input-tail, BOS)
-    assert model.counts[(x, BOS_ID)] == {z: 1}
-
-
 TRAINING_VOCAB = Vocabulary.build(small_schema().tokens() + ["a", "b"])
-# Id contexts of up to two ids and MRs of one to ten, so windows of orders
-# up to 6 reach back past the start of many contexts.
+# Id contexts of up to two ids and MRs of one to ten; training resolves each
+# input but counts only the output's windows.
 SPEAKER_INPUTS = st.one_of(
     st.lists(st.integers(0, len(TRAINING_VOCAB) - 1), max_size=2).map(tuple),
     meaning_representations(small_schema()),
@@ -133,8 +127,8 @@ SPEAKER_INPUTS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(2, 6),
-    st.lists(st.tuples(SPEAKER_INPUTS, token_sequences(len(TRAINING_VOCAB))),
-             min_size=1, max_size=8),
+    st.lists(st.tuples(SPEAKER_INPUTS, token_sequences(len(TRAINING_VOCAB)).filter(
+        lambda output: BOS_ID not in output.ids)), min_size=1, max_size=8),
 )
 def test_training_counts_equal_the_per_position_walk(order, pairs):
     model = train_ngram_speaker(pairs, order, 0.1, vocab=TRAINING_VOCAB, schema=small_schema())
@@ -145,6 +139,8 @@ def test_training_validation_errors():
     vocab = tiny_vocab()
     with pytest.raises(ValueError, match="empty"):
         train_ngram_speaker([], 2, 0.1, vocab=vocab)
+    with pytest.raises(ValueError, match="output holds BOS"):
+        train_ngram_speaker([((), TokenSequence([4, BOS_ID, 5]))], 3, 0.1, vocab=vocab)
     with pytest.raises(ValueError):
         NGramSpeaker(order=1, k=0.1, vocab=vocab)
     with pytest.raises(ValueError):
@@ -294,6 +290,41 @@ def test_copy_bonus_never_boosts_sep():
     assert ratios[a] == pytest.approx(math.exp(beta) * ratios[b], rel=1e-9)
 
 
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_only_the_copy_bonus_reads_the_input(order):
+    """Every context shares a prefix's history: at copy bonus 0, two MRs
+    whose clauses end differently get the same rows bit for bit, and with
+    the bonus each row is the add-k row of the last ``order - 1`` ids of
+    ``[BOS ; prefix]`` plus the bonus on the context's tokens, SEP excepted,
+    log-normalized."""
+    rng = random.Random(order)
+    words = list(range(len(RESERVED_TOKENS), len(TRAINING_VOCAB)))
+    mrs = [
+        MeaningRepresentation({"name": NAME_PLACEHOLDER, "area": "riverside"}),
+        MeaningRepresentation({"priceRange": "cheap", "familyFriendly": "no"}),
+        MeaningRepresentation({"area": "city centre", "priceRange": "high"}),
+    ]
+    pairs = [(mrs[i % 3], TokenSequence(rng.choices(words, k=rng.randint(0, 6))))
+             for i in range(90)]
+    model = train_ngram_speaker(pairs, order, 0.1, vocab=TRAINING_VOCAB, schema=small_schema())
+    contexts = [model.context_ids(mr) for mr in mrs[:2]]
+    prefixes = sorted({o.ids[:n] for _, o in pairs for n in range(len(o.ids) + 1)}
+                      | {tuple(rng.choices(words, k=n)) for n in range(7) for _ in range(3)})
+    index, table = model._window_table()
+    for copy_bonus in (0.0, 1.0):
+        model.copy_bonus = copy_bonus
+        block, _ = model.row_source(contexts)(prefixes)
+        for prefix, stacked in zip(prefixes, block):
+            row = table[index.get(((BOS_ID,) + prefix)[-(order - 1):], len(index))]
+            rows = [model.step_logprobs_ctx(ctx, prefix) for ctx in contexts]
+            for ctx, got, got_stacked in zip(contexts, rows, stacked):
+                bonus = np.zeros(len(TRAINING_VOCAB))
+                bonus[[tok for tok in ctx if tok != SEP_ID]] = copy_bonus
+                assert got.tobytes() == got_stacked.tobytes() == log_softmax(row + bonus).tobytes()
+            if copy_bonus == 0.0:
+                assert rows[0].tobytes() == rows[1].tobytes()
+
+
 # ── block rows ───────────────────────────────────────────────────────────────
 
 
@@ -331,7 +362,7 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus, monkeypatch
                 want = reference_ngram_row(model, ctx, prefix)
                 assert row.tobytes() == want.tobytes()
                 assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
-                seen.add((ctx + (BOS_ID,) + prefix)[-(order - 1):] in model.counts)
+                seen.add(((BOS_ID,) + prefix)[-(order - 1):] in model.counts)
         assert seen == {True, False}
 
 
