@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable
 
@@ -28,7 +28,7 @@ from .core import (
     schema_from_dict,
     schema_to_dict,
 )
-from .speaker import add_k_rows, check_counts, read_counts, read_number
+from .speaker import add_k_rows, check_counts, read_number
 
 ABSENT_CLASS = "__absent__"
 
@@ -88,11 +88,13 @@ class AttributeClassifierListener:
     # ── smoothed tables ─────────────────────────────────────────────────
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log priors (classes,) and token log-likelihoods (V, classes)."""
+        """Log priors (classes,) and token log-likelihoods (V, classes): each
+        attribute's add-k row over its classes' pair counts, and each class's
+        add-k row over its bag-token counts."""
         if self._log_tables is None:
-            pairs = self.counts[:, -1].astype(float)
-            totals = np.add.reduceat(pairs, self._starts) + self.k * self._sizes
-            prior = np.log(pairs + self.k) - np.log(totals).repeat(self._sizes)
+            prior = np.concatenate([
+                add_k_rows(self.counts[None, rows, -1], self.k)[0] for rows in self._rows.values()
+            ])
             tok = np.ascontiguousarray(add_k_rows(self.counts[:, :-1], self.k).T)
             prior.setflags(write=False)
             tok.setflags(write=False)
@@ -179,22 +181,16 @@ def train_attribute_listener(
 
 
 def save_listener(listener: AttributeClassifierListener, path: str | Path) -> None:
-    """Serialize a listener, with its schema, to one deterministic JSON file."""
+    """Serialize a listener to one deterministic JSON file: its smoothing
+    constant, vocabulary and schema, and its count matrix row by row."""
     if not isinstance(listener, AttributeClassifierListener):
         raise TypeError(f"cannot serialize listener of type {type(listener).__name__}")
-    counts, rows = listener.counts.tolist(), listener._class_rows
     payload = {
         "type": "attribute-nb",
         "k": listener.k,
         "vocab": list(listener.vocab.tokens),
-        "priors": {attr: {cls: counts[row][-1] for cls, row in by_class.items()}
-                   for attr, by_class in rows.items()},
-        "token_counts": {
-            attr: {cls: {str(t): c for t, c in enumerate(counts[row][:-1]) if c}
-                   for cls, row in by_class.items()}
-            for attr, by_class in rows.items()
-        },
         "schema": schema_to_dict(listener.schema),
+        "counts": listener.counts.tolist(),
     }
     dump_json(payload, Path(path))
 
@@ -202,7 +198,9 @@ def save_listener(listener: AttributeClassifierListener, path: str | Path) -> No
 def load_listener(
     path: str | Path, schema: AttributeSchema | None = None
 ) -> AttributeClassifierListener:
-    """Load a serialized listener; its schema must equal ``schema`` if given."""
+    """Load a serialized listener; its schema must equal ``schema`` if given.
+    Its counts must be one row per class of the embedded schema, each of V
+    token counts and a pair count."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("the top level is not a JSON object")
@@ -215,18 +213,10 @@ def load_listener(
     vocab = Vocabulary(payload["vocab"])
     k = read_number("k", payload["k"])
     listener = AttributeClassifierListener(loaded_schema, vocab, k=k)
-    for table in ("priors", "token_counts"):
-        for attr, by_class in payload[table].items():
-            if attr not in listener.classes:
-                raise ValueError(f"attribute {attr!r} is not in the listener's schema")
-            if undeclared := set(by_class).difference(listener.classes[attr]):
-                raise ValueError(f"class {min(undeclared)!r} of {attr!r} is not in the schema")
-    rows, size = listener._class_rows, len(vocab)
-    for attr, by_class in payload["priors"].items():
-        check_counts(by_class.values())
-        listener.counts[[rows[attr][c] for c in by_class], size] = list(by_class.values())
-    for attr, by_class in payload["token_counts"].items():
-        for cls, row in by_class.items():
-            parsed = read_counts(row, size)
-            listener.counts[rows[attr][cls], list(parsed)] = list(parsed.values())
+    counts, (rows, size) = payload["counts"], listener.counts.shape
+    if not (isinstance(counts, list) and len(counts) == rows
+            and all(isinstance(row, list) and len(row) == size for row in counts)):
+        raise ValueError(f"counts is not {rows} rows of {size} entries, one row per class")
+    check_counts(chain.from_iterable(counts))
+    listener.counts = np.array(counts, dtype=np.int64)
     return listener

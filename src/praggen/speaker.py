@@ -284,14 +284,22 @@ def read_number(name: str, value: object) -> float:
     return float(value)
 
 
+def _read_id(text: str, size: int) -> int:
+    """A serialized token id; refuses one outside ``range(size)`` and any
+    spelling but ``str(id)``, so that two spellings of one id cannot merge."""
+    token_id = int(text)
+    if text != str(token_id):
+        raise ValueError(f"token id {text!r} is not written as {str(token_id)!r}")
+    if not 0 <= token_id < size:
+        raise ValueError(f"token id {token_id} is outside the vocabulary")
+    return token_id
+
+
 def read_counts(row: dict, size: int) -> dict[int, int]:
     """A serialized ``{token id: count}`` row with its ids parsed; refuses a
-    count that ``check_counts`` refuses and an id outside ``range(size)``."""
+    count that ``check_counts`` refuses and an id that ``_read_id`` refuses."""
     check_counts(row.values())
-    parsed = {int(tok): count for tok, count in row.items()}
-    if outside := set(parsed).difference(range(size)):
-        raise ValueError(f"token id {min(outside)} is outside the vocabulary")
-    return parsed
+    return {_read_id(tok, size): count for tok, count in row.items()}
 
 
 def save_speaker(model: SpeakerModel, path: str | Path) -> None:
@@ -330,11 +338,10 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGr
         k=read_number("k", payload["k"]),
         vocab=Vocabulary(payload["vocab"]),
         schema=schema,
-        copy_bonus=read_number("copy_bonus", payload.get("copy_bonus", 0.0)),
+        copy_bonus=read_number("copy_bonus", payload["copy_bonus"]),
     )
     for key, row in payload["counts"].items():
-        history = tuple(int(i) for i in key.split(","))
-        read_counts(dict.fromkeys(history, 0), model.vocab_size)  # checks the ids
+        history = tuple(_read_id(i, model.vocab_size) for i in key.split(","))
         # A history is the last ``order - 1`` ids of [BOS ; prefix]: a shorter
         # one starts at BOS, and none holds BOS after its start. Files of
         # earlier versions hold histories that reach back into the input.

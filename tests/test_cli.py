@@ -240,16 +240,16 @@ def test_train_is_deterministic(ws, tmp_path):
 
 @pytest.mark.parametrize("flags, speaker_sha, listener_sha", [
     ([], "0f1a9d0fec241f6de4ef4456d383ebb3f077aecf24ba54bfb54b1e111106e2a1",
-     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+     "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
     (["--order", 5], "94aecda0035e53200a68ad3a6bc529fb7de46b05d9f7c0a6fcb022943c0e0551",
-     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+     "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
     (["--order", 2], "b80fdaf043e71956038655039a09a834f17e2f7fea6670be57ad69182ac77435",
-     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+     "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
     (["--order", 12], "d525ab5b90621fb8674ab61d8de0a8eafc958483e355192d91b3fd793e41316a",
-     "b90ffa9b133f6325e1ded4f6d3eb59e51d7c5e63c770495279b4442c7f26d457"),
+     "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
     (["--k", 0.5, "--copy-bonus", 0, "--listener-k", 2],
      "6afe5844cbea090cf5387fba2aa79d6a3aea1ebc3acbcff86bcaad4f107ce6a0",
-     "11f1952f15a95ed04b6b7b2a282e36b198e49e8de1cc041fc11877e0d79e5567"),
+     "5c7fb514886b1bc937818508efad770924972c14a94b46128ba382c279782d5b"),
 ], ids=["defaults", "order5", "order2", "order12", "smoothing"])
 def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, listener_sha):
     # The digests pin the model files to the bytes training wrote when they
@@ -741,16 +741,40 @@ def reverse_model_listener(payload):
     return {"type": "reverse", "schema": payload["schema"], "model": model}
 
 
+def nested_listener(payload):
+    """The same listener in the nested format of earlier versions, which spelled
+    its count matrix out as ``priors`` and ``token_counts`` maps keyed by
+    attribute, class and token id; praggen reads the count matrix only."""
+    rows = iter(payload.pop("counts"))
+    payload["priors"], payload["token_counts"] = {}, {}
+    for spec in payload["schema"]["attributes"]:
+        for cls in [*spec["values"], "__absent__"]:
+            *tokens, pairs = next(rows)
+            payload["priors"].setdefault(spec["name"], {})[cls] = pairs
+            payload["token_counts"].setdefault(spec["name"], {})[cls] = {
+                str(t): n for t, n in enumerate(tokens) if n}
+    return payload
+
+
 # What the error line of a case must say; a count is named by its size, so
 # a huge one's line stays short.
 ERROR_SAYS = {
     "speaker-count-huge": "count of 401 characters is not",
     "listener-prior-huge": "count of 401 characters is not",
     "listener-token-count-huge": "count of 401 characters is not",
-    "listener-attribute-undeclared": "'bogusattr' is not in the listener's schema",
-    "listener-token-attribute-undeclared": "'bogusattr' is not in the listener's schema",
+    "listener-count-fractional": "count 2.5 is not a non-negative integer",
+    "listener-count-bool": "count True is not a non-negative integer",
+    "listener-class-undeclared": "counts is not 29 rows of 68 entries, one row per class",
+    "listener-class-missing": "counts is not 29 rows of 68 entries, one row per class",
+    "listener-token-too-big": "counts is not 29 rows of 68 entries, one row per class",
+    "listener-token-missing": "counts is not 29 rows of 68 entries, one row per class",
+    "listener-counts-dict": "counts is not 29 rows of 68 entries, one row per class",
+    "listener-nested-format": "invalid listener (missing key 'counts')",
     "speaker-list": "invalid speaker (the top level is not a JSON object)",
     "speaker-k-missing": "invalid speaker (missing key 'k')",
+    "speaker-copy-bonus-missing": "invalid speaker (missing key 'copy_bonus')",
+    "speaker-history-spelled-twice": "token id ' 0' is not written as '0'",
+    "speaker-token-spelled-twice": "token id '04' is not written as '4'",
     "listener-schema-missing": "invalid listener (missing key 'schema')",
     "listener-list": "invalid listener (the top level is not a JSON object)",
     "speaker-vocab-number": "invalid speaker (token id 6 is not a string)",
@@ -787,27 +811,29 @@ ERROR_SAYS = {
     pytest.param("speaker", put("k", value=True), id="speaker-k-bool"),
     pytest.param("speaker", drop("k"), id="speaker-k-missing"),
     pytest.param("speaker", put("copy_bonus", value="1"), id="speaker-copy-bonus-string"),
+    pytest.param("speaker", drop("copy_bonus"), id="speaker-copy-bonus-missing"),
+    pytest.param("speaker", put("counts", " 0", value={"4": 1}),
+                 id="speaker-history-spelled-twice"),
+    pytest.param("speaker", put("counts", "0", "04", value=5), id="speaker-token-spelled-twice"),
     pytest.param("speaker", put("vocab", 6, value=7), id="speaker-vocab-number"),
-    pytest.param("listener", put("priors", FIRST, "__absent__", value=-3),
-                 id="listener-prior-negative"),
-    pytest.param("listener", put("priors", FIRST, "__absent__", value=10**400),
-                 id="listener-prior-huge"),
-    pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=-1),
-                 id="listener-token-count-negative"),
-    pytest.param("listener", put("token_counts", FIRST, FIRST, "7", value=10**400),
+    pytest.param("listener", put("counts", 0, -1, value=-3), id="listener-prior-negative"),
+    pytest.param("listener", put("counts", 0, -1, value=10**400), id="listener-prior-huge"),
+    pytest.param("listener", put("counts", 0, 7, value=-1), id="listener-token-count-negative"),
+    pytest.param("listener", put("counts", 0, 7, value=10**400),
                  id="listener-token-count-huge"),
-    pytest.param("listener", put("priors", FIRST, "bogus", value=7),
+    pytest.param("listener", put("counts", 0, 7, value=2.5), id="listener-count-fractional"),
+    pytest.param("listener", put("counts", 0, -1, value=True), id="listener-count-bool"),
+    pytest.param("listener", lambda p: p | {"counts": p["counts"] + p["counts"][-1:]},
                  id="listener-class-undeclared"),
-    pytest.param("listener", put("token_counts", FIRST, "bogus", value={}),
-                 id="listener-token-class-undeclared"),
-    pytest.param("listener", put("priors", "bogusattr", value={"x": 1}),
-                 id="listener-attribute-undeclared"),
-    pytest.param("listener", put("token_counts", "bogusattr", value={}),
-                 id="listener-token-attribute-undeclared"),
-    pytest.param("listener", put("token_counts", FIRST, FIRST, "-2", value=1),
-                 id="listener-token-negative"),
-    pytest.param("listener", put("token_counts", FIRST, FIRST, "5000", value=1),
+    pytest.param("listener", lambda p: p | {"counts": p["counts"][:-1]},
+                 id="listener-class-missing"),
+    pytest.param("listener", lambda p: put("counts", 3, value=p["counts"][3] + [0])(p),
                  id="listener-token-too-big"),
+    pytest.param("listener", lambda p: put("counts", 3, value=p["counts"][3][1:])(p),
+                 id="listener-token-missing"),
+    pytest.param("listener", lambda p: p | {"counts": dict(enumerate(p["counts"]))},
+                 id="listener-counts-dict"),
+    pytest.param("listener", nested_listener, id="listener-nested-format"),
     pytest.param("listener", put("k", value="0.5"), id="listener-k-string"),
     pytest.param("listener", drop("schema"), id="listener-schema-missing"),
     pytest.param("listener", lambda p: [p], id="listener-list"),

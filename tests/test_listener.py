@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from itertools import product
@@ -317,19 +316,28 @@ def test_attribute_listener_round_trip(tmp_path):
     trained = path.read_bytes()
     save_listener(loaded, path)
     assert path.read_bytes() == trained
-    # An explicit zero token count in a hand-written file scores as an
-    # absent one, and the listener saves it absent.
-    payload = json.loads(trained)
-    payload["token_counts"]["area"]["riverside"][str(vocab.id("nice"))] = 0
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    zeroed = load_listener(path)
-    for spec in schema:
-        assert np.array_equal(
-            zeroed.class_log_posteriors(spec.name, output),
-            listener.class_log_posteriors(spec.name, output),
-        )
-    save_listener(zeroed, path)
-    assert path.read_bytes() == trained
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.floats(1e-6, 1e6))
+def test_count_matrices_survive_save_and_load(tmp_path_factory, data, k):
+    # Any count below 2**53 is kept, and so are the tables' bits. The priors
+    # are add-k rows whose totals are float sums, exact while an attribute's
+    # pair counts total below 2**53, as in every file training writes.
+    listener = AttributeClassifierListener(TRAINING_SCHEMA, TRAINING_VOCAB, k=k)
+    rows, size = listener.counts.shape
+    row = st.lists(st.integers(0, 2**53 - 1), min_size=size, max_size=size)
+    listener.counts = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    path = tmp_path_factory.mktemp("listener") / "listener.json"
+    save_listener(listener, path)
+    loaded = load_listener(path, TRAINING_SCHEMA)
+    assert loaded.k == listener.k and loaded.vocab.tokens == listener.vocab.tokens
+    assert np.array_equal(loaded.counts, listener.counts)
+    for mine, theirs in zip(loaded._tables(), listener._tables()):
+        assert mine.tobytes() == theirs.tobytes()
+    saved = path.read_bytes()
+    save_listener(loaded, path)
+    assert path.read_bytes() == saved
 
 
 def test_attribute_listener_serialization_is_deterministic(tmp_path):
