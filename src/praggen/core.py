@@ -386,8 +386,37 @@ def schema_from_dict(payload: Mapping) -> AttributeSchema:
 
 
 def load_schema(path: str | Path) -> AttributeSchema:
-    with open(path, encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+    return schema_from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+
+
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
+
+
+# One decoder for every call: ``json.loads`` with a hook builds a new one each time.
+_STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_refuse_repeated_keys)
+
+
+def parse_json(text: str) -> object:
+    """``json.loads(text)``, except that an object writing one key twice
+    raises ``ValueError`` naming the key, where ``json.loads`` keeps the last."""
+    return _STRICT_DECODER.decode(text)
+
+
+def read_model_payload(path: str | Path, kind: str, what: str) -> dict:
+    """The JSON object in the ``what`` model file at ``path``, parsed by
+    ``parse_json``; refuses any other top level and a ``type`` but ``kind``."""
+    payload = parse_json(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("the top level is not a JSON object")
+    if (found := payload.get("type")) != kind:
+        raise ValueError(f"unknown {what} serialization type {found!r}")
+    return payload
 
 
 def dump_json(payload: dict, path: Path) -> None:

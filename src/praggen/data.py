@@ -34,6 +34,7 @@ from .core import (
     NEAR_PLACEHOLDER,
     PLACEHOLDER_TOKENS,
     Vocabulary,
+    parse_json,
     validate_mr,
 )
 
@@ -285,17 +286,20 @@ def write_jsonl(records: Iterable[CorpusRecord], path: str | Path) -> None:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Each non-blank line of a JSONL file, parsed, with its line number; a
-    line that does not parse raises ``ValueError`` naming its number."""
+    """Each non-blank line of a JSONL file, parsed by ``parse_json``, with its
+    line number; a line that does not parse, or writes an object key twice,
+    raises ``ValueError`` naming its number."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                payload = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             yield lineno, payload
 
 

@@ -149,19 +149,12 @@ def coverage_ratio(
     """
     if len(records) != len(outputs):
         raise ValueError("records and outputs must pair up one to one")
-    assigned = 0
-    mentioned = 0
-    for rec, out in zip(records, outputs):
-        value = rec.mr.get(attribute)
-        if value is None:
-            continue
-        assigned += 1
-        if matcher.mentions(attribute, value, out):
-            mentioned += 1
-    if assigned == 0:
+    values = [rec.mr.get(attribute) for rec in records]
+    hits = [matcher.mentions(attribute, v, out) for v, out in zip(values, outputs) if v is not None]
+    if not hits:
         warnings.warn(f"no record assigns attribute {attribute!r}; coverage is vacuous")
         return 1.0
-    return mentioned / assigned
+    return sum(hits) / len(hits)
 
 
 def measured_attributes(schema: AttributeSchema) -> list[str]:

@@ -10,7 +10,6 @@ reconstructor reranker calls.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import accumulate, chain
 from pathlib import Path
@@ -25,6 +24,7 @@ from .core import (
     TokenSequence,
     Vocabulary,
     dump_json,
+    read_model_payload,
     schema_from_dict,
     schema_to_dict,
 )
@@ -201,18 +201,13 @@ def load_listener(
     """Load a serialized listener; its schema must equal ``schema`` if given.
     Its counts must be one row per class of the embedded schema, each of V
     token counts and a pair count."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError("the top level is not a JSON object")
-    kind = payload.get("type")
-    if kind != "attribute-nb":
-        raise ValueError(f"unknown listener serialization type {kind!r}")
+    payload = read_model_payload(path, "attribute-nb", "listener")
     loaded_schema = schema_from_dict(payload["schema"])
     if schema is not None and loaded_schema != schema:
         raise ValueError("listener schema differs from the given schema")
-    vocab = Vocabulary(payload["vocab"])
-    k = read_number("k", payload["k"])
-    listener = AttributeClassifierListener(loaded_schema, vocab, k=k)
+    listener = AttributeClassifierListener(
+        loaded_schema, Vocabulary(payload["vocab"]), k=read_number("k", payload["k"])
+    )
     counts, (rows, size) = payload["counts"], listener.counts.shape
     if not (isinstance(counts, list) and len(counts) == rows
             and all(isinstance(row, list) and len(row) == size for row in counts)):

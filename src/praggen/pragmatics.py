@@ -44,7 +44,7 @@ still runs the whole beam and returns all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -391,14 +391,7 @@ def rerank_reconstructor(
     for cand in candidates:
         listener_lp = float(listener.reconstruction_logprob(input, cand.output))
         combined = lambda_ * listener_lp + (1.0 - lambda_) * cand.base_logprob
-        rescored.append(
-            ScoredCandidate(
-                output=cand.output,
-                base_logprob=cand.base_logprob,
-                listener_logprob=listener_lp,
-                combined_score=combined,
-            )
-        )
+        rescored.append(replace(cand, listener_logprob=listener_lp, combined_score=combined))
     rescored.sort(
         key=lambda c: (-c.combined_score, -c.base_logprob, c.output.ids)
     )

@@ -14,7 +14,6 @@ zero that is the add-k row normalized again.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -36,6 +35,7 @@ from .core import (
     dump_json,
     linearize_mr,
     log_softmax,
+    read_model_payload,
 )
 
 RowSource = Callable[[Sequence[tuple[int, ...]]], tuple[np.ndarray | None, np.ndarray]]
@@ -95,10 +95,10 @@ class SpeakerModel(ABC):
 class NGramSpeaker(SpeakerModel):
     """Add-k smoothed n-gram model over outputs plus the input's copy bonus.
 
-    ``counts`` maps a history tuple to the counts of tokens observed after
-    it: the last ``order - 1`` ids of ``[BOS ; prefix]``, so a shorter
-    history starts at BOS. Every context shares a prefix's history; only
-    the copy bonus reads the context.
+    ``windows`` maps each window seen in training, its history and then the
+    next token, to its count. A prefix's history is the last ``order - 1``
+    ids of ``[BOS ; prefix]``, so a shorter history starts at BOS. Every
+    context shares a prefix's history; only the copy bonus reads the context.
     """
 
     def __init__(
@@ -122,7 +122,7 @@ class NGramSpeaker(SpeakerModel):
         self.copy_bonus = float(copy_bonus)
         self.vocab_size = len(vocab)
         self.eos_id = EOS_ID
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
+        self.windows: dict[tuple[int, ...], int] = {}
         self._table: tuple[dict[tuple[int, ...], int], np.ndarray] | None = None
 
     # ── scoring ─────────────────────────────────────
@@ -143,10 +143,10 @@ class NGramSpeaker(SpeakerModel):
         """Each seen history's row index, and the frozen (histories + 1, V)
         matrix of add-k rows whose last row serves every unseen history."""
         if self._table is None:
-            index = {history: i for i, history in enumerate(self.counts)}
+            index: dict[tuple[int, ...], int] = {}
+            rows = [index.setdefault(window[:-1], len(index)) for window in self.windows]
             counts = np.zeros((len(index) + 1, self.vocab_size), dtype=np.int64)
-            for i, row in enumerate(self.counts.values()):
-                counts[i, list(row)] = list(row.values())
+            counts[rows, [window[-1] for window in self.windows]] = list(self.windows.values())
             table = add_k_rows(counts, self.k)
             table.setflags(write=False)
             self._table = (index, table)
@@ -255,12 +255,7 @@ def train_ngram_speaker(
     if not stream:
         raise ValueError("training corpus is empty")
     windows = Counter(compress(zip(*(stream[i:] for i in range(order))), ends))
-    for window, n in windows.items():
-        history = window[window.count(_PAD) : -1]
-        row = model.counts.get(history)
-        if row is None:
-            row = model.counts[history] = {}
-        row[window[-1]] = n
+    model.windows = {window[window.count(_PAD) :]: n for window, n in windows.items()}
     return model
 
 
@@ -284,26 +279,14 @@ def read_number(name: str, value: object) -> float:
     return float(value)
 
 
-def _read_id(text: str, size: int) -> int:
-    """A serialized token id; refuses one outside ``range(size)`` and any
-    spelling but ``str(id)``, so that two spellings of one id cannot merge."""
-    token_id = int(text)
-    if text != str(token_id):
-        raise ValueError(f"token id {text!r} is not written as {str(token_id)!r}")
-    if not 0 <= token_id < size:
-        raise ValueError(f"token id {token_id} is outside the vocabulary")
-    return token_id
-
-
-def read_counts(row: dict, size: int) -> dict[int, int]:
-    """A serialized ``{token id: count}`` row with its ids parsed; refuses a
-    count that ``check_counts`` refuses and an id that ``_read_id`` refuses."""
-    check_counts(row.values())
-    return {_read_id(tok, size): count for tok, count in row.items()}
+def _joined(ids: tuple[int, ...]) -> str:
+    """``ids`` comma-joined and quoted, as a refusal names a history."""
+    return repr(",".join(map(str, ids)))
 
 
 def save_speaker(model: SpeakerModel, path: str | Path) -> None:
-    """Serialize a speaker to deterministic JSON."""
+    """Serialize a speaker to deterministic JSON, its windows as sorted
+    ``[history..., token, count]`` rows."""
     if not isinstance(model, NGramSpeaker):
         raise TypeError(f"cannot serialize speaker of type {type(model).__name__}")
     payload = {
@@ -312,24 +295,15 @@ def save_speaker(model: SpeakerModel, path: str | Path) -> None:
         "k": model.k,
         "copy_bonus": model.copy_bonus,
         "vocab": list(model.vocab.tokens),
-        "counts": {
-            ",".join(str(i) for i in history): {
-                str(tok): cnt for tok, cnt in sorted(row.items())
-            }
-            for history, row in model.counts.items()
-        },
+        "windows": sorted([*window, count] for window, count in model.windows.items()),
     }
     dump_json(payload, Path(path))
 
 
 def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGramSpeaker:
-    """Load a serialized speaker."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError("the top level is not a JSON object")
-    kind = payload.get("type")
-    if kind != "ngram":
-        raise ValueError(f"unknown speaker serialization type {kind!r}")
+    """Load a serialized speaker; refuses a window row that training could
+    not have written, and a window written twice."""
+    payload = read_model_payload(path, "ngram", "speaker")
     order = payload["order"]
     if type(order) is not int:
         raise ValueError(f"order {order!r} is not an integer")
@@ -340,14 +314,25 @@ def load_speaker(path: str | Path, schema: AttributeSchema | None = None) -> NGr
         schema=schema,
         copy_bonus=read_number("copy_bonus", payload["copy_bonus"]),
     )
-    for key, row in payload["counts"].items():
-        history = tuple(_read_id(i, model.vocab_size) for i in key.split(","))
+    rows = payload["windows"]
+    if not isinstance(rows, list):
+        raise ValueError("windows is not a list")
+    for n, row in enumerate(rows):
+        if not (isinstance(row, list) and 3 <= len(row) <= order + 1
+                and all(type(i) is int for i in row[:-1])):
+            raise ValueError(f"window row {n} is not 2 to {order} token ids and a count")
+        window = tuple(row[:-1])
+        if outside := [i for i in window if not 0 <= i < model.vocab_size]:
+            raise ValueError(f"token id {outside[0]} is outside the vocabulary")
         # A history is the last ``order - 1`` ids of [BOS ; prefix]: a shorter
-        # one starts at BOS, and none holds BOS after its start. Files of
-        # earlier versions hold histories that reach back into the input.
-        if BOS_ID in history[1:]:
-            raise ValueError(f"history {key!r} reaches back before BOS; retrain the speaker")
-        if len(history) >= order or (len(history) < order - 1 and history[0] != BOS_ID):
-            raise ValueError(f"history {key!r} does not fit order {order}")
-        model.counts[history] = read_counts(row, model.vocab_size)
+        # one starts at BOS, and none holds BOS after its start.
+        if BOS_ID in window[1:-1]:
+            raise ValueError(
+                f"history {_joined(window[:-1])} reaches back before BOS; retrain the speaker")
+        if len(window) < order and window[0] != BOS_ID:
+            raise ValueError(f"history {_joined(window[:-1])} does not fit order {order}")
+        if window in model.windows:
+            raise ValueError(f"window row {n} repeats an earlier row")
+        model.windows[window] = row[-1]
+    check_counts(model.windows.values())
     return model

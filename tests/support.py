@@ -320,21 +320,18 @@ def reference_ngram_row(speaker, ctx, prefix_ids) -> np.ndarray:
     """The n-gram speaker's step row computed on its own.
 
     The add-k row of the prefix's history, the last ``order - 1`` ids of
-    ``[BOS ; prefix]`` (uniform for an unseen history), plus the copy bonus
-    of the context's tokens, log-normalized. The
-    speaker, which gathers its rows from one matrix and normalizes a whole
-    block at once, must return the same bits.
+    ``[BOS ; prefix]``, over the counts of the windows that extend it
+    (uniform for an unseen history), plus the copy bonus of the context's
+    tokens, log-normalized. The speaker, which gathers its rows from one
+    matrix and normalizes a whole block at once, must return the same bits.
     """
     k, size = speaker.k, speaker.vocab_size
-    window = ((BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
-    counts = speaker.counts.get(window)
-    if counts is None:
-        row = np.full(size, np.log(k) - np.log(k * size))
-    else:
-        denom = np.log(sum(counts.values()) + k * size)
-        row = np.full(size, np.log(k) - denom)
-        for tok, cnt in counts.items():
-            row[tok] = np.log(cnt + k) - denom
+    history = ((BOS_ID,) + prefix_ids)[-(speaker.order - 1):]
+    counts = {t: n for t in range(size) if (n := speaker.windows.get((*history, t)))}
+    denom = np.log(sum(counts.values()) + k * size)
+    row = np.full(size, np.log(k) - denom)
+    for tok, cnt in counts.items():
+        row[tok] = np.log(cnt + k) - denom
     feat = np.zeros(size)
     for tok in ctx:
         if tok != SEP_ID:
@@ -393,19 +390,18 @@ def token_sequences(size: int, max_len: int = 5):
     return st.tuples(ids, st.booleans()).map(lambda t: TokenSequence(t[0] + [EOS_ID] * t[1]))
 
 
-def reference_ngram_counts(speaker, pairs) -> dict:
-    """The n-gram speaker's training counts, walked one output position at
+def reference_ngram_windows(speaker, pairs) -> Counter:
+    """The n-gram speaker's training windows, walked one output position at
     a time over ``[BOS ; output ; EOS]``: each position from the first
-    output token through EOS counts its next token after the window
-    reaching back to BOS at most. The inputs play no part."""
+    output token through EOS counts the window of its token after the
+    history reaching back to BOS at most. The inputs play no part."""
     span = speaker.order - 1
-    counts: dict = {}
+    windows: Counter = Counter()
     for _, output in pairs:
         seq = (BOS_ID, *output.core_ids(), EOS_ID)
         for t in range(1, len(seq)):
-            row = counts.setdefault(seq[max(0, t - span) : t], {})
-            row[seq[t]] = row.get(seq[t], 0) + 1
-    return counts
+            windows[seq[max(0, t - span) : t + 1]] += 1
+    return windows
 
 
 def reference_listener_counts(listener, pairs) -> tuple[dict, dict]:

@@ -239,16 +239,16 @@ def test_train_is_deterministic(ws, tmp_path):
 
 
 @pytest.mark.parametrize("flags, speaker_sha, listener_sha", [
-    ([], "0f1a9d0fec241f6de4ef4456d383ebb3f077aecf24ba54bfb54b1e111106e2a1",
+    ([], "e7a6464c7d4670f99ec2b9e209c9414b719fe266428141c12b38568a13591242",
      "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
-    (["--order", 5], "94aecda0035e53200a68ad3a6bc529fb7de46b05d9f7c0a6fcb022943c0e0551",
+    (["--order", 5], "233bd69accb0dd9256ecc77377d4b81a2dd95df2b3e6b10c79a0f3736aa0a0a1",
      "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
-    (["--order", 2], "b80fdaf043e71956038655039a09a834f17e2f7fea6670be57ad69182ac77435",
+    (["--order", 2], "a53eb048a7064e095195eba09960665e3602d0ef0f99519f677a6e8d51deeef1",
      "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
-    (["--order", 12], "d525ab5b90621fb8674ab61d8de0a8eafc958483e355192d91b3fd793e41316a",
+    (["--order", 12], "30fd242c1fa00230af4fcc90149023f5ba51a958d7cc94d33d5b4a7041fe53c6",
      "a34fd63c6374a37efc661e900d843c6efc8c25ba7aa5dcb0c78f450918431752"),
     (["--k", 0.5, "--copy-bonus", 0, "--listener-k", 2],
-     "6afe5844cbea090cf5387fba2aa79d6a3aea1ebc3acbcff86bcaad4f107ce6a0",
+     "45284aa35a61d37dca89a0597f5682572bff877c55a013709e9b703aab92d441",
      "5c7fb514886b1bc937818508efad770924972c14a94b46128ba382c279782d5b"),
 ], ids=["defaults", "order5", "order2", "order12", "smoothing"])
 def test_train_writes_the_recorded_model_bytes(tmp_path, flags, speaker_sha, listener_sha):
@@ -711,16 +711,12 @@ def test_generate_counts_unmapped_placeholders_once(ws, tmp_path, two_cpus, capf
     assert files[0] == files[1]
 
 
-FIRST = object()
-
-
 def put(*path, value):
-    """An edit of a JSON payload that sets ``value`` at ``path``; ``FIRST``
-    stands for an object's first key."""
+    """An edit of a JSON payload that sets ``value`` at ``path``."""
     def edit(payload):
         node = payload
         for key in path[:-1]:
-            node = node[next(iter(node)) if key is FIRST else key]
+            node = node[key]
         node[path[-1]] = value
         return payload
     return edit
@@ -732,6 +728,29 @@ def drop(key):
         del payload[key]
         return payload
     return edit
+
+
+def repeat(key):
+    """An edit of a JSON payload that writes its top-level ``key`` twice,
+    which a ``dict`` cannot hold, so it returns the edited JSON text."""
+    def edit(payload):
+        return f"{{{json.dumps(key)}:{json.dumps(payload[key])},{json.dumps(payload)[1:]}"
+    return edit
+
+
+def add_window(row):
+    """An edit of a speaker payload that appends the window row ``row``."""
+    return lambda payload: payload | {"windows": payload["windows"] + [row]}
+
+
+def nested_speaker(payload):
+    """The same speaker in the nested format of earlier versions, which kept
+    its windows as ``{history: {token: count}}`` maps keyed by comma-joined
+    ids; praggen reads the window rows only."""
+    counts: dict = {}
+    for *window, count in payload.pop("windows"):
+        counts.setdefault(",".join(map(str, window[:-1])), {})[str(window[-1])] = count
+    return payload | {"counts": counts}
 
 
 def reverse_model_listener(payload):
@@ -759,7 +778,23 @@ def nested_listener(payload):
 # What the error line of a case must say; a count is named by its size, so
 # a huge one's line stays short.
 ERROR_SAYS = {
+    "speaker-counts-int": "invalid speaker (windows is not a list)",
+    "speaker-token-negative": "token id -1 is outside the vocabulary",
+    "speaker-token-too-big": "token id 99999 is outside the vocabulary",
+    "speaker-history-negative": "token id -1 is outside the vocabulary",
+    "speaker-count-negative": "count -5 is not a non-negative integer",
+    "speaker-count-fractional": "count 2513.7 is not a non-negative integer",
     "speaker-count-huge": "count of 401 characters is not",
+    "speaker-window-int": "window row 0 is not 2 to 3 token ids and a count",
+    "speaker-window-too-long": "window row 0 is not 2 to 3 token ids and a count",
+    "speaker-window-bool": "window row 0 is not 2 to 3 token ids and a count",
+    "speaker-window-twice": "repeats an earlier row",
+    "speaker-nested-format": "invalid speaker (missing key 'windows')",
+    "speaker-repeated-key": "invalid speaker (repeated key 'k')",
+    "listener-repeated-key": "invalid listener (repeated key 'k')",
+    "schema-repeated-key": "invalid schema (repeated key 'attributes')",
+    "record-repeated-key": "line 1: repeated key 'mr'",
+    "prediction-repeated-key": "line 1: repeated key 'output'",
     "listener-prior-huge": "count of 401 characters is not",
     "listener-token-count-huge": "count of 401 characters is not",
     "listener-count-fractional": "count 2.5 is not a non-negative integer",
@@ -773,8 +808,6 @@ ERROR_SAYS = {
     "speaker-list": "invalid speaker (the top level is not a JSON object)",
     "speaker-k-missing": "invalid speaker (missing key 'k')",
     "speaker-copy-bonus-missing": "invalid speaker (missing key 'copy_bonus')",
-    "speaker-history-spelled-twice": "token id ' 0' is not written as '0'",
-    "speaker-token-spelled-twice": "token id '04' is not written as '4'",
     "listener-schema-missing": "invalid listener (missing key 'schema')",
     "listener-list": "invalid listener (the top level is not a JSON object)",
     "speaker-vocab-number": "invalid speaker (token id 6 is not a string)",
@@ -792,17 +825,25 @@ ERROR_SAYS = {
                  id="schema-value-int"),
     pytest.param("schema", put("attributes", 6, "lexicon", value="kid friendly"),
                  id="schema-lexicon-string"),
-    pytest.param("speaker", put("counts", value=5), id="speaker-counts-int"),
+    pytest.param("schema", repeat("attributes"), id="schema-repeated-key"),
+    pytest.param("speaker", put("windows", value=5), id="speaker-counts-int"),
     pytest.param("speaker", lambda p: [p], id="speaker-list"),
-    pytest.param("speaker", put("counts", FIRST, "-1", value=1), id="speaker-token-negative"),
-    pytest.param("speaker", put("counts", FIRST, "99999", value=1), id="speaker-token-too-big"),
-    pytest.param("speaker", put("counts", "-1,6", value={"7": 1}), id="speaker-history-negative"),
-    pytest.param("speaker", put("counts", "2,0", value={"7": 1}), id="speaker-history-before-bos"),
-    pytest.param("speaker", put("counts", "7", value={"8": 1}), id="speaker-history-short"),
-    pytest.param("speaker", put("counts", FIRST, "7", value=-5), id="speaker-count-negative"),
-    pytest.param("speaker", put("counts", FIRST, "7", value=2513.7),
-                 id="speaker-count-fractional"),
-    pytest.param("speaker", put("counts", FIRST, "7", value=10**400), id="speaker-count-huge"),
+    pytest.param("speaker", put("windows", 0, -2, value=-1), id="speaker-token-negative"),
+    pytest.param("speaker", put("windows", 0, -2, value=99999), id="speaker-token-too-big"),
+    pytest.param("speaker", add_window([-1, 6, 7, 1]), id="speaker-history-negative"),
+    pytest.param("speaker", add_window([2, 0, 7, 1]), id="speaker-history-before-bos"),
+    pytest.param("speaker", add_window([7, 8, 1]), id="speaker-history-short"),
+    pytest.param("speaker", put("windows", 0, -1, value=-5), id="speaker-count-negative"),
+    pytest.param("speaker", put("windows", 0, -1, value=2513.7), id="speaker-count-fractional"),
+    pytest.param("speaker", put("windows", 0, -1, value=10**400), id="speaker-count-huge"),
+    pytest.param("speaker", put("windows", 0, value=5), id="speaker-window-int"),
+    pytest.param("speaker", put("windows", 0, value=[0, 7, 8, 9, 1]),
+                 id="speaker-window-too-long"),
+    pytest.param("speaker", put("windows", 0, 0, value=True), id="speaker-window-bool"),
+    pytest.param("speaker", lambda p: p | {"windows": p["windows"] + p["windows"][:1]},
+                 id="speaker-window-twice"),
+    pytest.param("speaker", nested_speaker, id="speaker-nested-format"),
+    pytest.param("speaker", repeat("k"), id="speaker-repeated-key"),
     pytest.param("speaker", put("order", value=2.5), id="speaker-order-fractional"),
     pytest.param("speaker", put("order", value="3"), id="speaker-order-string"),
     pytest.param("speaker", put("order", value=2), id="speaker-order-too-small"),
@@ -812,9 +853,6 @@ ERROR_SAYS = {
     pytest.param("speaker", drop("k"), id="speaker-k-missing"),
     pytest.param("speaker", put("copy_bonus", value="1"), id="speaker-copy-bonus-string"),
     pytest.param("speaker", drop("copy_bonus"), id="speaker-copy-bonus-missing"),
-    pytest.param("speaker", put("counts", " 0", value={"4": 1}),
-                 id="speaker-history-spelled-twice"),
-    pytest.param("speaker", put("counts", "0", "04", value=5), id="speaker-token-spelled-twice"),
     pytest.param("speaker", put("vocab", 6, value=7), id="speaker-vocab-number"),
     pytest.param("listener", put("counts", 0, -1, value=-3), id="listener-prior-negative"),
     pytest.param("listener", put("counts", 0, -1, value=10**400), id="listener-prior-huge"),
@@ -838,13 +876,16 @@ ERROR_SAYS = {
     pytest.param("listener", drop("schema"), id="listener-schema-missing"),
     pytest.param("listener", lambda p: [p], id="listener-list"),
     pytest.param("listener", reverse_model_listener, id="listener-type-reverse"),
+    pytest.param("listener", repeat("k"), id="listener-repeated-key"),
     pytest.param("data", put("mr", value=5), id="record-mr-int"),
     pytest.param("data", put("delex", value=5), id="record-delex-int"),
     pytest.param("data", put("delex", "NAME_PLH", value=5), id="record-delex-value-int"),
     pytest.param("data", put("ref", value=5), id="record-ref-int"),
+    pytest.param("data", repeat("mr"), id="record-repeated-key"),
     pytest.param("predictions", put("id", value=["a"]), id="prediction-id-list"),
     pytest.param("predictions", put("output", value=None), id="prediction-output-null"),
     pytest.param("predictions", put("output", value=5), id="prediction-output-int"),
+    pytest.param("predictions", repeat("output"), id="prediction-repeated-key"),
 ])
 def test_malformed_files_are_data_errors(ws, tmp_path, capsys, request, kind, edit):
     sources = {"schema": ws["schema"], "speaker": ws["speaker"],
@@ -852,14 +893,18 @@ def test_malformed_files_are_data_errors(ws, tmp_path, capsys, request, kind, ed
                "predictions": tmp_path / "echo.jsonl"}
     echo_predictions(read_jsonl(ws["dev"]), sources["predictions"])
     source = sources[kind]
+
+    def edited(text):
+        payload = edit(json.loads(text))
+        return payload if isinstance(payload, str) else json.dumps(payload)
+
     bad = tmp_path / f"bad{source.suffix}"
     if source.suffix == ".jsonl":
         lines = source.read_text(encoding="utf-8").splitlines()
-        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        lines[0] = edited(lines[0])
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        bad.write_text(json.dumps(edit(json.loads(source.read_text(encoding="utf-8")))),
-                       encoding="utf-8")
+        bad.write_text(edited(source.read_text(encoding="utf-8")), encoding="utf-8")
     files = {**sources, kind: bad}
     out = tmp_path / "out.json"
     command = {

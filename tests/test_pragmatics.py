@@ -577,7 +577,7 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
             rows = speaker.row_source(contexts)
             true_only = contexts[:1]
             alone = speaker.row_source(true_only), SpeakerModel.row_source(speaker, true_only)
-            seen = set()
+            histories, seen = {window[:-1] for window in speaker.windows}, set()
             for block in blocks + [prefixes]:
                 stacks, base = rows(block)
                 assert base.tobytes() == log_softmax(stacks[:, 0]).tobytes()
@@ -591,7 +591,7 @@ def test_row_memo_returns_the_speakers_own_rows(synth_models, monkeypatch):
                         want = speaker.step_logprobs_ctx(ctx, prefix).tobytes()
                         assert row.tobytes() == want
                         assert reference_ngram_row(speaker, ctx, prefix).tobytes() == want
-                        seen.add(((BOS_ID,) + prefix)[-(order - 1):] in speaker.counts)
+                        seen.add(((BOS_ID,) + prefix)[-(order - 1):] in histories)
             assert seen == {True, False}
 
 

@@ -28,7 +28,7 @@ from praggen.speaker import (
 
 from support import (
     meaning_representations,
-    reference_ngram_counts,
+    reference_ngram_windows,
     reference_ngram_row,
     token_sequences,
 )
@@ -55,17 +55,13 @@ def two_pair_model(k=0.1, order=2, copy_bonus=0.0):
 
 
 def test_bigram_counts_match_hand_enumeration():
-    """Every (history, next) pair from [ctx; BOS; output; EOS], output side only.
+    """Every (history, next) window from [ctx; BOS; output; EOS], output side only.
 
     Pair 1 trains over [a BOS a b EOS], pair 2 over [b BOS b EOS]; walking
-    the output positions by hand gives exactly four transitions.
+    the output positions by hand gives exactly four distinct windows.
     """
     model, vocab, a, b = two_pair_model()
-    assert model.counts == {
-        (BOS_ID,): {a: 1, b: 1},
-        (a,): {b: 1},
-        (b,): {EOS_ID: 2},
-    }
+    assert model.windows == {(BOS_ID, a): 1, (BOS_ID, b): 1, (a, b): 1, (b, EOS_ID): 2}
 
 
 def test_bigram_conditional_cells_match_smoothing_formula():
@@ -111,8 +107,7 @@ def test_training_skips_transitions_inside_the_context():
     model = train_ngram_speaker(
         [((x, y, SEP_ID), TokenSequence([z]))], 3, 0.1, vocab=vocab
     )
-    assert set(model.counts) == {(BOS_ID,), (BOS_ID, z)}
-    assert (x, y) not in model.counts
+    assert model.windows == {(BOS_ID, z): 1, (BOS_ID, z, EOS_ID): 1}
 
 
 TRAINING_VOCAB = Vocabulary.build(small_schema().tokens() + ["a", "b"])
@@ -132,7 +127,7 @@ SPEAKER_INPUTS = st.one_of(
 )
 def test_training_counts_equal_the_per_position_walk(order, pairs):
     model = train_ngram_speaker(pairs, order, 0.1, vocab=TRAINING_VOCAB, schema=small_schema())
-    assert model.counts == reference_ngram_counts(model, pairs)
+    assert model.windows == reference_ngram_windows(model, pairs)
 
 
 def test_training_validation_errors():
@@ -345,6 +340,7 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus, monkeypatch
     ]
     model = train_ngram_speaker(pairs, order, 0.3, vocab=vocab, copy_bonus=copy_bonus)
     contexts = [pairs[0][0], pairs[1][0], (words[6], SEP_ID, words[7])]
+    histories = {window[:-1] for window in model.windows}
     # Prefixes from empty to longer than the window, seen and unseen.
     prefixes = [()] + [
         tuple(rng.choices(words, k=n)) for n in range(1, 7) for _ in range(4)
@@ -362,7 +358,7 @@ def test_block_rows_equal_single_rows_bit_for_bit(order, copy_bonus, monkeypatch
                 want = reference_ngram_row(model, ctx, prefix)
                 assert row.tobytes() == want.tobytes()
                 assert model.step_logprobs_ctx(ctx, prefix).tobytes() == want.tobytes()
-                seen.add(((BOS_ID,) + prefix)[-(order - 1):] in model.counts)
+                seen.add(((BOS_ID,) + prefix)[-(order - 1):] in histories)
         assert seen == {True, False}
 
 
@@ -377,7 +373,7 @@ def test_ngram_round_trip_preserves_scores(tmp_path):
     assert loaded.order == model.order
     assert loaded.k == model.k
     assert loaded.copy_bonus == model.copy_bonus
-    assert loaded.counts == model.counts
+    assert loaded.windows == model.windows
     assert loaded.vocab.tokens == vocab.tokens
     for prefix in ((), (a, b)):
         assert np.array_equal(
@@ -396,6 +392,41 @@ def test_retraining_writes_identical_bytes(tmp_path):
     save_speaker(first, p1)
     save_speaker(second, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def loadable_windows(order: int, size: int):
+    """Windows that a speaker file of ``order`` may hold over ``size`` ids: a
+    history of ``order - 1`` ids, or a shorter one that starts at BOS, with
+    no BOS after its start, then the next token."""
+    ids = st.integers(1, size - 1)
+    history = st.one_of(
+        st.lists(ids, min_size=order - 1, max_size=order - 1),
+        st.lists(ids, max_size=order - 2).map(lambda rest: [BOS_ID, *rest]),
+    )
+    return st.tuples(history, ids).map(lambda pair: (*pair[0], pair[1]))
+
+
+def table_rows(model):
+    """Each seen history's add-k row bytes, and the unseen row's bytes,
+    whatever order the table holds its rows in."""
+    index, table = model._window_table()
+    return {history: table[i].tobytes() for history, i in index.items()}, table[-1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 5), st.floats(1e-6, 1e6))
+def test_window_counts_survive_save_and_load(tmp_path_factory, data, order, k):
+    model = NGramSpeaker(order, k, TRAINING_VOCAB, copy_bonus=1.0)
+    model.windows = data.draw(st.dictionaries(
+        loadable_windows(order, model.vocab_size), st.integers(1, 2**53 - 1), max_size=40))
+    path = tmp_path_factory.mktemp("speaker") / "speaker.json"
+    save_speaker(model, path)
+    loaded = load_speaker(path)
+    assert loaded.windows == model.windows
+    assert table_rows(loaded) == table_rows(model)
+    saved = path.read_bytes()
+    save_speaker(loaded, path)
+    assert path.read_bytes() == saved
 
 
 def test_load_rejects_unknown_type(tmp_path):
