@@ -242,9 +242,9 @@ def pool_size(workers: int, jobs: int, cpus: int | None) -> int:
     return max(1, min(workers, cpus or 1, jobs))
 
 
-def _adopt_job(job: Callable[[int], object]) -> None:
+def _adopt_job(job: Callable[[int], object], stopped: Callable[[], bool]) -> None:
     global _forked_job
-    _forked_job = job
+    _forked_job = lambda index: None if stopped() else job(index)
 
 
 def _run_forked_job(index: int) -> object:
@@ -257,16 +257,25 @@ def map_jobs(job: Callable[[int], object], jobs: int, workers: int) -> list:
     The processes inherit ``job`` and all it reads through fork, so only
     indices and results cross a pipe, in chunks of about a quarter of each
     process's share. Results keep index order, and the first job to fail in
-    index order raises, as in a plain loop. With one process that loop runs
-    and no pool starts.
+    index order raises, as in a plain loop; the jobs still queued then skip
+    their work. A process that dies raises ``OSError``. With one process
+    that loop runs and no pool starts.
     """
     size = pool_size(workers, jobs, os.cpu_count())
     if size == 1:
         return [job(i) for i in range(jobs)]
-    import multiprocessing  # here, so that serial runs do not pay for the import
+    import multiprocessing  # here, so that serial runs do not pay for the imports
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with multiprocessing.get_context("fork").Pool(size, _adopt_job, (job,)) as pool:
-        return list(pool.imap(_run_forked_job, range(jobs), max(1, jobs // (4 * size))))
+    fork, chunk = multiprocessing.get_context("fork"), max(1, jobs // (4 * size))
+    stop = fork.Event()  # the pool's exit waits for the jobs already queued
+    with ProcessPoolExecutor(size, fork, _adopt_job, (job, stop.is_set)) as pool:
+        try:
+            return list(pool.map(_run_forked_job, range(jobs), chunksize=chunk))
+        except BrokenExecutor as exc:  # a process died, so the pool is broken
+            raise OSError("a worker process died") from exc
+        finally:
+            stop.set()
 
 
 # ── attribute schemas ───────────────────────────────────────────────────────
@@ -304,6 +313,12 @@ class AttributeSpec:
                     f"delexicalized attribute {self.name!r} must carry exactly one "
                     f"placeholder value from {sorted(PLACEHOLDER_TOKENS)}"
                 )
+
+    def phrases(self, value: str) -> list[str]:
+        """The canonical phrases whose mention realizes ``value``: a boolean's
+        lexicon when it has one, otherwise the value itself."""
+        sources = self.lexicon if self.kind == KIND_BOOLEAN and self.lexicon else (value,)
+        return [" ".join(normalize_words(p)) for p in sources]
 
     @property
     def placeholder(self) -> str:

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import (
-    KIND_BOOLEAN,
     KIND_DELEXICALIZED,
     AttributeSchema,
+    AttributeSpec,
     Vocabulary,
     detokenize,
     map_jobs,
@@ -110,37 +110,20 @@ def rouge_l(references: Sequence[str], hypotheses: Sequence[str]) -> float:
 # ── attribute coverage ──────────────────────────────────────────────────────
 
 
-class CoverageMatcher:
-    """Decides whether generated text mentions an attribute's value.
-
-    Matching is contiguous-token containment over canonicalized text.
-    Boolean attributes match through their mention lexicon instead of the
-    literal yes/no value, and deliberately ignore polarity: "not family
-    friendly" still counts as mentioning familyFriendly.
-    """
-
-    def __init__(self, schema: AttributeSchema) -> None:
-        self.schema = schema
-
-    def _phrases(self, attribute: str, value: str) -> list[list[str]]:
-        spec = self.schema.attribute(attribute)
-        if spec.kind == KIND_BOOLEAN:
-            return [normalize_words(p) for p in spec.lexicon] or [normalize_words(value)]
-        return [normalize_words(value)]
-
-    def mentions(self, attribute: str, value: str, text: str) -> bool:
-        # Words never hold whitespace, so padded substring tests match whole words.
-        padded = f" {' '.join(normalize_words(text))} "
-        return any(
-            bool(p) and f" {' '.join(p)} " in padded for p in self._phrases(attribute, value)
-        )
+def mentions(spec: AttributeSpec, value: str, text: str) -> bool:
+    """Whether canonical ``text`` holds one of ``spec.phrases(value)`` as
+    contiguous whole words. A boolean's lexicon ignores polarity on purpose:
+    "not family friendly" still counts as mentioning familyFriendly."""
+    # Words never hold whitespace, so padded substring tests match whole words.
+    padded = f" {' '.join(normalize_words(text))} "
+    return any(p and f" {p} " in padded for p in spec.phrases(value))
 
 
 def coverage_ratio(
     records: Sequence[CorpusRecord],
     outputs: Sequence[str],
     attribute: str,
-    matcher: CoverageMatcher,
+    schema: AttributeSchema,
 ) -> float:
     """Fraction of outputs mentioning ``attribute`` among records assigning it.
 
@@ -149,8 +132,9 @@ def coverage_ratio(
     """
     if len(records) != len(outputs):
         raise ValueError("records and outputs must pair up one to one")
+    spec = schema.attribute(attribute)
     values = [rec.mr.get(attribute) for rec in records]
-    hits = [matcher.mentions(attribute, v, out) for v, out in zip(values, outputs) if v is not None]
+    hits = [mentions(spec, v, out) for v, out in zip(values, outputs) if v is not None]
     if not hits:
         warnings.warn(f"no record assigns attribute {attribute!r}; coverage is vacuous")
         return 1.0
@@ -168,10 +152,9 @@ def coverage_report(
     schema: AttributeSchema,
 ) -> dict[str, float]:
     """Per-attribute coverage plus a macro average under key ``macro``."""
-    matcher = CoverageMatcher(schema)
     report: dict[str, float] = {}
     for name in measured_attributes(schema):
-        report[name] = coverage_ratio(records, outputs, name, matcher)
+        report[name] = coverage_ratio(records, outputs, name, schema)
     report["macro"] = sum(report.values()) / len(report) if report else 1.0
     return report
 
@@ -197,11 +180,10 @@ def ablation_matrix(
     attribute's effect. ``workers``: see ``map_jobs``.
     """
     cols = measured_attributes(schema)
-    matcher = CoverageMatcher(schema)
     config = replace(config, mode=MODE_DISTRACTOR)
 
     def row(texts: list[str]) -> dict[str, float]:
-        return {c: coverage_ratio(records, texts, c, matcher) for c in cols}
+        return {c: coverage_ratio(records, texts, c, schema) for c in cols}
 
     def record_texts(i: int) -> list[str]:
         """Record ``i``'s BASE text, then its text under each mask."""

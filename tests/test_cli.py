@@ -1,14 +1,17 @@
 import argparse
+import concurrent.futures
 import hashlib
 import importlib
 import json
-import multiprocessing.pool
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import praggen
 from praggen.cli import _decode_config, build_parser, main
 from praggen.core import detokenize, load_schema
 from praggen.data import delexicalize, read_jsonl, relexicalize, write_jsonl
@@ -578,11 +581,47 @@ def test_a_failing_worker_exits_like_a_serial_run(
     assert errors[0] == errors[1] == "error: cannot decode the sixth record\n"
 
 
+# Runs the CLI with ``generate`` in ``sys.argv[2]`` replaced by one that kills
+# any forked worker process that calls it.
+DYING_DECODE = """
+import importlib, os, sys
+sys.path.insert(0, sys.argv[1])
+from praggen.cli import main
+
+module = importlib.import_module(sys.argv[2])
+real_generate = module.generate
+os.cpu_count = lambda: 2
+parent = os.getpid()
+
+
+def generate(*args, **kwargs):
+    if os.getpid() != parent:
+        os._exit(7)
+    return real_generate(*args, **kwargs)
+
+
+module.generate = generate
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("command, module", [("generate", "praggen.cli"),
+                                             ("ablate", "praggen.evaluation")])
+def test_a_dying_worker_ends_the_command_with_exit_3(ws, tmp_path, command, module):
+    src = str(Path(praggen.__file__).parents[1])
+    out = tmp_path / "out"
+    argv = [str(a) for a in [*decode_args(ws, command), "--out", out, "--workers", 2]]
+    done = subprocess.run([sys.executable, "-c", DYING_DECODE, src, module, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (3, "error: a worker process died\n")
+    assert not out.exists()
+
+
 def test_serial_runs_start_no_pool(ws, tmp_path, two_cpus, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for command in ("generate", "ablate"):
         args = [*decode_args(ws, command), "--out", tmp_path / command]
         assert run(*args, "--workers", 1) == 0

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,57 @@ def test_map_jobs_keeps_index_order_and_raises_the_first_failure(monkeypatch):
         map_jobs(chunked_job, 40, 2)
 
 
+
+def test_map_jobs_skips_the_queued_jobs_once_a_job_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    ran = tmp_path / "ran"
+    ran.touch()
+
+    def job(i):
+        if i == 0:
+            raise ValueError("job 0 failed")
+        with open(ran, "a") as fh:
+            fh.write(f"{i}\n")
+        time.sleep(0.02)
+        return i
+
+    with pytest.raises(ValueError, match="^job 0 failed$"):
+        map_jobs(job, 400, 2)
+    # 400 jobs on 2 processes go in chunks of 50, and the chunks already
+    # queued when job 0 fails hold 100 jobs: they start but skip their work.
+    assert len(ran.read_text().split()) < 50
+
+
+# A job that kills its worker process outright, as a crash or the OOM killer would.
+DYING_WORKER = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from praggen.core import map_jobs
+
+os.cpu_count = lambda: 2
+parent = os.getpid()
+
+
+def job(i):
+    if i == 3 and os.getpid() != parent:
+        os._exit(7)
+    return i
+
+
+try:
+    map_jobs(job, 8, 2)
+except OSError as exc:
+    print(exc)
+"""
+
+
+def test_map_jobs_raises_when_a_worker_process_dies():
+    src = str(Path(praggen.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", DYING_WORKER, src],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "a worker process died\n"
+
+
 # ── schemas ──────────────────────────────────────────────────────────────────
 
 
@@ -326,6 +378,17 @@ def test_attribute_spec_validation():
         AttributeSpec("x", KIND_CATEGORICAL, ("a", "a"))
     with pytest.raises(ValueError):
         AttributeSpec("x", KIND_DELEXICALIZED, ("not a placeholder",))
+
+
+def test_attribute_spec_phrases_for_each_kind():
+    family = RESTAURANT_SCHEMA.attribute("familyFriendly")
+    lexicon = ["family friendly", "family-friendly", "child friendly", "kid friendly"]
+    assert family.phrases("yes") == family.phrases("no") == lexicon
+    assert AttributeSpec("open", KIND_BOOLEAN, ("yes", "no")).phrases("no") == ["no"]
+    assert RESTAURANT_SCHEMA.attribute("area").phrases("city centre") == ["city centre"]
+    assert AttributeSpec("area", KIND_CATEGORICAL, ("City Centre!",)).phrases(
+        "City Centre!") == ["city centre !"]
+    assert RESTAURANT_SCHEMA.attribute("name").phrases(NAME_PLACEHOLDER) == ["NAME_PLH"]
 
 
 def test_delexicalized_placeholder_property():

@@ -6,19 +6,20 @@ from fractions import Fraction
 import pytest
 
 from praggen.core import (
+    KIND_BOOLEAN,
     NAME_PLACEHOLDER,
     MeaningRepresentation,
     normalize_words,
     tokenize,
 )
-from praggen.data import RESTAURANT_SCHEMA, CorpusRecord, build_corpus_vocabulary
+from praggen.data import _CLAUSES, RESTAURANT_SCHEMA, CorpusRecord, build_corpus_vocabulary
 from praggen.evaluation import (
-    CoverageMatcher,
     ablation_matrix,
     bleu,
     coverage_ratio,
     coverage_report,
     measured_attributes,
+    mentions,
     rouge_l,
     write_ablation_csv,
 )
@@ -190,39 +191,57 @@ def test_rouge_validates_its_inputs():
 
 
 def test_matcher_requires_contiguous_mentions():
-    matcher = CoverageMatcher(small_schema())
-    assert matcher.mentions("area", "city centre", "right in the city centre .")
-    assert not matcher.mentions("area", "city centre", "the centre of the city .")
+    area = small_schema().attribute("area")
+    assert mentions(area, "city centre", "right in the city centre .")
+    assert not mentions(area, "city centre", "the centre of the city .")
 
 
 def test_matcher_matches_whole_words_only():
-    matcher = CoverageMatcher(small_schema())
-    assert not matcher.mentions("priceRange", "cheap", "cheaper .")
-    assert not matcher.mentions("area", "city centre", "the city centres .")
-    assert matcher.mentions("area", "city centre", "city centre is near")
-    assert matcher.mentions("area", "riverside", "it is by the riverside")
+    schema = small_schema()
+    area, price = schema.attribute("area"), schema.attribute("priceRange")
+    assert not mentions(price, "cheap", "cheaper .")
+    assert not mentions(area, "city centre", "the city centres .")
+    assert mentions(area, "city centre", "city centre is near")
+    assert mentions(area, "riverside", "it is by the riverside")
 
 
 def test_matcher_is_case_and_punctuation_insensitive():
-    matcher = CoverageMatcher(small_schema())
-    assert matcher.mentions("area", "riverside", "Riverside, naturally!")
-    assert matcher.mentions("priceRange", "cheap", "Cheap.")
+    schema = small_schema()
+    assert mentions(schema.attribute("area"), "riverside", "Riverside, naturally!")
+    assert mentions(schema.attribute("priceRange"), "cheap", "Cheap.")
 
 
 def test_matcher_uses_the_boolean_lexicon_not_the_value():
-    matcher = CoverageMatcher(small_schema())
-    assert matcher.mentions("familyFriendly", "yes", "a family friendly spot .")
-    assert not matcher.mentions("familyFriendly", "yes", "they said yes .")
+    family = small_schema().attribute("familyFriendly")
+    assert mentions(family, "yes", "a family friendly spot .")
+    assert not mentions(family, "yes", "they said yes .")
 
 
 def test_matcher_ignores_boolean_polarity():
-    matcher = CoverageMatcher(small_schema())
-    assert matcher.mentions("familyFriendly", "no", "not family friendly at all .")
+    family = small_schema().attribute("familyFriendly")
+    assert mentions(family, "no", "not family friendly at all .")
 
 
 def test_matcher_knows_hyphenated_lexicon_entries():
-    matcher = CoverageMatcher(RESTAURANT_SCHEMA)
-    assert matcher.mentions("familyFriendly", "yes", "a family-friendly cafe .")
+    family = RESTAURANT_SCHEMA.attribute("familyFriendly")
+    assert mentions(family, "yes", "a family-friendly cafe .")
+
+
+def test_mentions_sees_every_clause_the_grammar_writes():
+    # Coverage scores the synthetic corpus, so each clause a template writes
+    # for a value must count as mentioning that value.
+    checked = 0
+    for name in measured_attributes(RESTAURANT_SCHEMA):
+        spec = RESTAURANT_SCHEMA.attribute(name)
+        for value in spec.values:
+            templates = _CLAUSES[name]
+            if spec.kind == KIND_BOOLEAN:
+                templates = templates[value]
+            for template in templates:
+                clause = template.format(v=value)
+                assert mentions(spec, value, clause), (name, value, clause)
+                checked += 1
+    assert checked == 38
 
 
 def record(idx, text="", **assignments):
@@ -232,7 +251,7 @@ def record(idx, text="", **assignments):
 
 
 def test_coverage_ratio_counts_only_assigning_records():
-    matcher = CoverageMatcher(small_schema())
+    schema = small_schema()
     records = [
         record(0, area="riverside"),
         record(1, area="city centre"),
@@ -245,21 +264,21 @@ def test_coverage_ratio_counts_only_assigning_records():
         "riverside views .",
         "whatever this says .",
     ]
-    got = coverage_ratio(records, outputs, "area", matcher)
+    got = coverage_ratio(records, outputs, "area", schema)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_coverage_ratio_is_vacuously_one_with_a_warning():
-    matcher = CoverageMatcher(small_schema())
+    schema = small_schema()
     records = [record(0, area="riverside")]
     with pytest.warns(UserWarning, match="vacuous"):
-        assert coverage_ratio(records, ["anything ."], "priceRange", matcher) == 1.0
+        assert coverage_ratio(records, ["anything ."], "priceRange", schema) == 1.0
 
 
 def test_coverage_ratio_validates_alignment():
-    matcher = CoverageMatcher(small_schema())
+    schema = small_schema()
     with pytest.raises(ValueError, match="pair up"):
-        coverage_ratio([record(0, area="riverside")], [], "area", matcher)
+        coverage_ratio([record(0, area="riverside")], [], "area", schema)
 
 
 def test_measured_attributes_drop_delexicalized_ones():
